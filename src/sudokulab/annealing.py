@@ -158,9 +158,9 @@ def anneal(
 ) -> SolveReport:
     """Run one annealing chain; deterministic for a fixed (puzzle, config)."""
     cfg = config or AnnealConfig()
+    start = time.perf_counter()
     rng = random.Random(cfg.seed)
     state = AnnealState.create(initial_board(puzzle, clue_mask, rng), clue_mask, cfg, rng=rng)
-    start = time.perf_counter()
 
     if state.cost == 0:
         return SolveReport(

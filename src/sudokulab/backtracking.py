@@ -61,6 +61,11 @@ def enumerate_solutions(
     Returns fewer than ``cap`` boards iff the whole search tree was
     exhausted, which proves no further solution exists.
     """
+    return _search(board, cap, trace)[0]
+
+
+def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board], int]:
+    """Up to ``cap`` solutions and the number of placement attempts made."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     order = order_cells(board)
@@ -68,42 +73,42 @@ def enumerate_solutions(
     lists = order.lists
     grid = list(board)
     solutions: list[Board] = []
-    prefix: list[str] = []
     n = len(cells)
+    nodes = 0
 
     def dfs(depth: int) -> bool:
+        nonlocal nodes
         if depth == n:
             solutions.append(tuple(grid))
             return len(solutions) >= cap
         i = cells[depth]
         peers = PEERS[i]
-        for d in lists[depth]:
+        digits = lists[depth]
+        # attempts are counted once per call: all of its digits, or those
+        # up to the one whose subtree ended the search
+        for d in digits:
             ok = all(grid[j] != d for j in peers)
             if trace is not None:
-                trace("".join(prefix) + str(d), ok)
+                # the prefix is the digits placed so far, in search order
+                trace("".join(str(grid[c]) for c in cells[:depth]) + str(d), ok)
             if ok:
                 grid[i] = d
-                prefix.append(str(d))
                 if dfs(depth + 1):
+                    nodes += digits.index(d) + 1
                     return True
-                prefix.pop()
                 grid[i] = 0
+        nodes += len(digits)
         return False
 
     dfs(0)
-    return solutions
+    return solutions, nodes
 
 
 def solve(board: Board, clue_mask: ClueMask) -> SolveReport:
-    """First solution (or failure) with a node-visit work count."""
-    nodes = 0
-
-    def count(prefix: str, ok: bool) -> None:
-        nonlocal nodes
-        nodes += 1
-
+    """First solution (or failure) with a work count of placement attempts,
+    the calls a ``trace`` hook would receive."""
     start = time.perf_counter()
-    found = enumerate_solutions(board, clue_mask, cap=1, trace=count)
+    found, nodes = _search(board, 1, None)
     elapsed = time.perf_counter() - start
     if found:
         return SolveReport("backtracking", True, found[0], elapsed, nodes, final_cost=0)

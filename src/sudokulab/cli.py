@@ -129,7 +129,9 @@ def run_cli(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_bench(args)
-    except (PuzzleError, OSError) as exc:
+    except (ValueError, OSError) as exc:
+        # PuzzleError is a ValueError, and so is an out-of-range flag
+        # rejected by a solver config or an empty suite rejected by run_bench
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

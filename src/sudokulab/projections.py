@@ -5,14 +5,19 @@ The relaxation places a probability p_ijk on digit k at cell (i,j): a
 row, once per column, once per subgrid, and a distribution per cell) plus
 nonnegativity.  Each constraint restricted to the nonnegative orthant is
 a unit simplex over a 9-entry slice, so one sweep projects every active
-slice in a fixed order.  Clues fix variables to 0 or 1 up front and void
-the constraints they satisfy outright.  The relaxed fixed point is
-rounded to a board by imputing each cell's most probable digit.
+slice in a fixed order: the row slices, then the columns, the subgrids
+and the cells.  The slices of one family are disjoint, so each family is
+projected as one batch, a stack of slices padded to 9 entries, which
+gives the same numbers as projecting its slices one after another.
+Clues fix variables to 0 or 1 up front and void the constraints they
+satisfy outright.  The relaxed fixed point is rounded to a board by
+imputing each cell's most probable digit.
 """
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,16 +45,30 @@ class ConstraintSlice:
     members: tuple[int, ...]   # 9 flat indices into the 729-vector
     free: tuple[int, ...]      # members still free after clue elimination
 
-    @property
-    def free_idx(self) -> np.ndarray:
-        return np.asarray(self.free, dtype=np.intp)
+
+@dataclass(frozen=True, eq=False)
+class SliceFamily:
+    """The active slices of one family, padded to 9 members each; the
+    slices are disjoint, so one batched projection equals projecting them
+    one after another."""
+    kind: str
+    members: np.ndarray   # (n, 9) intp flat indices, one row per slice
+    free: np.ndarray      # (n, 9) bool, True where the member is still free
 
 
 @dataclass(frozen=True)
 class ConstraintPlan:
-    slices: tuple[ConstraintSlice, ...]
+    families: tuple[SliceFamily, ...]   # non-empty families, in sweep order
     fixed_count: int
-    _free_idx: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
+
+    @property
+    def slices(self) -> tuple[ConstraintSlice, ...]:
+        """Every active slice, in sweep order."""
+        return tuple(
+            ConstraintSlice(fam.kind, tuple(m), tuple(x for x, ok in zip(m, f) if ok))
+            for fam in self.families
+            for m, f in zip(fam.members.tolist(), fam.free.tolist())
+        )
 
 
 @dataclass(frozen=True)
@@ -65,144 +84,99 @@ class ProjectionConfig:
             raise ValueError("stall_tolerance must be nonnegative")
 
 
-def project_rectangle(point, lower, upper) -> np.ndarray:
-    """Componentwise clamp onto the box [lower, upper]."""
-    y = np.asarray(point, dtype=float)
-    a = np.asarray(lower, dtype=float)
-    b = np.asarray(upper, dtype=float)
-    if y.shape != a.shape or y.shape != b.shape:
-        raise ValueError("point, lower, and upper must share a shape")
-    if np.any(a > b):
-        raise ValueError("lower bound exceeds upper bound")
-    return np.minimum(np.maximum(a, y), b)
-
-
-def project_hyperplane(point, normal, offset: float) -> np.ndarray:
-    """Orthogonal projection onto {x : normal . x = offset}."""
-    y = np.asarray(point, dtype=float)
-    v = np.asarray(normal, dtype=float)
-    nrm2 = float(v @ v)
-    if nrm2 == 0.0:
-        raise ValueError("normal must be nonzero")
-    return y - ((v @ y - offset) / nrm2) * v
-
-
 def project_simplex(point) -> np.ndarray:
     """Euclidean projection onto {x : x >= 0, sum(x) = 1}.
+
+    A 2-d ``point`` is a stack of points, each row projected on its own.
+    A ``-inf`` entry is absent from its point and comes out as 0.
 
     Sort descending, keep the largest k with w_k > (sum of the top k - 1)/k,
     and clip at the resulting threshold.  O(d log d), exact up to round-off.
     """
     y = np.asarray(point, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("point must be a nonempty 1-d vector")
-    w = np.sort(y)[::-1]
-    css = np.cumsum(w)
-    j = np.arange(1, y.size + 1)
-    # w_1 > w_1 - 1 always holds, so the feasible set is nonempty
-    k = int(np.nonzero(w > (css - 1.0) / j)[0][-1]) + 1
-    lam = (css[k - 1] - 1.0) / k
-    return np.maximum(y - lam, 0.0)
+    if y.ndim not in (1, 2) or y.size == 0:
+        raise ValueError("point must be a nonempty 1-d vector or 2-d stack of them")
+    pts = y.reshape(-1, y.shape[-1])   # a 1-d point is a stack of one
+    w = np.sort(pts, axis=1)[:, ::-1]
+    if np.any(w[:, 0] == -np.inf):
+        raise ValueError("every point needs an entry above -inf")
+    css = np.cumsum(w, axis=1)
+    d = pts.shape[1]
+    # w_1 > w_1 - 1 always holds, so every point keeps at least one entry;
+    # k counts the entries up to the last one where the test holds
+    k = d - np.argmax((w > (css - 1.0) / np.arange(1, d + 1))[:, ::-1], axis=1)
+    lam = (css[np.arange(len(pts)), k - 1] - 1.0) / k
+    return np.maximum(pts - lam[:, None], 0.0).reshape(y.shape)
 
 
-def _flat(i: int, j: int, k: int) -> int:
-    # 0-based flat index into the 729-vector
-    return (i * 9 + j) * 9 + k
+_FAMILIES = ("row", "column", "subgrid", "cell")
 
 
-def _all_slices() -> list[tuple[str, tuple[int, ...]]]:
-    """The 324 constraint slices in the fixed sweep order: rows, columns,
-    subgrids, then cell distributions."""
-    out: list[tuple[str, tuple[int, ...]]] = []
-    for i in range(9):
-        for k in range(9):
-            out.append(("row", tuple(_flat(i, j, k) for j in range(9))))
-    for j in range(9):
-        for k in range(9):
-            out.append(("column", tuple(_flat(i, j, k) for i in range(9))))
-    for a in (0, 3, 6):
-        for b in (0, 3, 6):
-            for k in range(9):
-                out.append(
-                    ("subgrid", tuple(_flat(a + i, b + j, k) for i in range(3) for j in range(3)))
-                )
-    for i in range(9):
-        for j in range(9):
-            out.append(("cell", tuple(_flat(i, j, k) for k in range(9))))
-    return out
+@functools.cache
+def _slice_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The (324, 9) flat indices of the constraint slices in the fixed sweep
+    order, and the (729, 4) ids of the row, column, subgrid and cell slice
+    through each entry.  Slice ids run 81 per family: row (i,k), column
+    (j,k), subgrid (b,k) with b the block index, then cell (i,j); a slice
+    lists its members by j, by i, row-major in the block, and by k."""
+    i, j, k = np.indices((9, 9, 9)).reshape(3, 729)
+    slice_of = np.stack(
+        [i * 9 + k, 81 + j * 9 + k, 162 + (i // 3 * 3 + j // 3) * 9 + k, 243 + i * 9 + j], axis=1
+    )
+    position = np.stack([j, i, i % 3 * 3 + j % 3, k], axis=1)
+    members = np.empty((324, 9), dtype=np.intp)
+    members[slice_of, position] = np.arange(729)[:, None]
+    members.flags.writeable = slice_of.flags.writeable = False
+    return members, slice_of
 
 
 def build_constraint_plan(puzzle: Board, clue_mask: ClueMask) -> tuple[ProbabilityTensor, ConstraintPlan]:
     """Fix the tensor entries forced by each clue and drop the constraints
     a clue satisfies outright.
 
-    A clue k at (i,j) fixes p_ijk = 1 and zeroes the other eight digits of
-    the cell, digit k elsewhere in the row, in the column, and in the rest
-    of the subgrid.  Any slice containing a fixed-one member is voided;
-    surviving slices keep only their free members.
+    A clue k at (i,j) fixes p_ijk = 1 and zeroes the other members of the
+    four slices through it: the other eight digits of the cell, and digit
+    k elsewhere in the row, the column and the subgrid.  Two clues on one
+    slice would force an entry to both 0 and 1.  A slice through a clue
+    is thereby voided, as no member is left free; surviving slices keep
+    only their free members.
     """
+    members, slice_of = _slice_tables()   # built on first use, not at import
     tensor = ProbabilityTensor.zeros()
+    cells = np.flatnonzero(np.asarray(clue_mask, dtype=bool))
+    ones = cells * 9 + np.asarray(puzzle, dtype=np.intp)[cells] - 1
+    voided = slice_of[ones].reshape(-1)
+    if np.any(np.bincount(voided, minlength=len(members)) > 1):
+        raise PuzzleError("clue conflict: tensor entry forced to both 0 and 1")
     status = tensor.status.reshape(-1)
-    values = tensor.values.reshape(-1)
+    status[members[voided]] = FIXED_ZERO
+    status[ones] = FIXED_ONE
+    tensor.values.reshape(-1)[ones] = 1.0
 
-    def fix(idx: int, mark: int) -> None:
-        cur = status[idx]
-        if cur != FREE and cur != mark:
-            raise PuzzleError("clue conflict: tensor entry forced to both 0 and 1")
-        status[idx] = mark
-        values[idx] = 1.0 if mark == FIXED_ONE else 0.0
-
-    for cell in range(81):
-        if not clue_mask[cell]:
-            continue
-        i, j = cell // 9, cell % 9
-        k = puzzle[cell] - 1
-        fix(_flat(i, j, k), FIXED_ONE)
-        for l in range(9):
-            if l != k:
-                fix(_flat(i, j, l), FIXED_ZERO)
-        for i2 in range(9):
-            if i2 != i:
-                fix(_flat(i2, j, k), FIXED_ZERO)
-        for j2 in range(9):
-            if j2 != j:
-                fix(_flat(i, j2, k), FIXED_ZERO)
-        a, b = 3 * (i // 3), 3 * (j // 3)
-        for i2 in range(a, a + 3):
-            for j2 in range(b, b + 3):
-                if i2 != i and j2 != j:
-                    fix(_flat(i2, j2, k), FIXED_ZERO)
-
-    slices = []
-    for kind, members in _all_slices():
-        if any(status[m] == FIXED_ONE for m in members):
-            continue
-        free = tuple(m for m in members if status[m] == FREE)
-        if free:
-            slices.append(ConstraintSlice(kind, members, free))
-    fixed_count = int(np.count_nonzero(status))
-    plan = ConstraintPlan(
-        slices=tuple(slices),
-        fixed_count=fixed_count,
-        _free_idx=tuple(s.free_idx for s in slices),
-    )
-    return tensor, plan
+    free = status[members] == FREE
+    active = free.any(axis=1)
+    families = []
+    for f, kind in enumerate(_FAMILIES):
+        rows = np.flatnonzero(active[81 * f : 81 * f + 81]) + 81 * f
+        if rows.size:
+            families.append(SliceFamily(kind, members[rows], free[rows]))
+    return tensor, ConstraintPlan(tuple(families), int(np.count_nonzero(status)))
 
 
 def sweep(tensor: ProbabilityTensor, plan: ConstraintPlan) -> tuple[ProbabilityTensor, float]:
-    """Project every active slice once, in plan order; returns the tensor
-    and the largest absolute entry change of the sweep.  Fixed entries are
-    never touched (the projection acts on the free sub-vector only)."""
+    """Project every active slice once, one batched projection per family
+    in plan order; returns the tensor and the largest absolute entry
+    change of the sweep.  Fixed entries enter as absent (-inf) and are
+    written back unchanged."""
     flat = tensor.values.reshape(-1)
     max_change = 0.0
-    free_lists = plan._free_idx if plan._free_idx else tuple(s.free_idx for s in plan.slices)
-    for idx in free_lists:
-        y = flat[idx]
-        x = project_simplex(y)
-        change = float(np.max(np.abs(x - y)))
+    for fam in plan.families:
+        y = flat[fam.members]
+        x = project_simplex(np.where(fam.free, y, -np.inf))
+        change = float(np.max(np.abs(x - y), where=fam.free, initial=0.0))
         if change > max_change:
             max_change = change
-        flat[idx] = x
+        flat[fam.members] = np.where(fam.free, x, y)
     return tensor, max_change
 
 

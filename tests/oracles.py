@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 
+from sudokulab.projections import FIXED_ONE, FIXED_ZERO, FREE, project_simplex
+
 
 def _free_digits(g, i):
     """Digits missing from the row, column and subgrid of flat index i."""
@@ -116,3 +118,64 @@ def brute_force_simplex(y):
                 best_dist = dist
                 best = x
     return best
+
+
+def _constraint_slices():
+    """The 324 constraint slices as (kind, 9 flat tensor indices) in sweep
+    order: rows, columns, subgrids, then cell distributions."""
+    def flat(i, j, k):
+        return (i * 9 + j) * 9 + k
+
+    out = []
+    for i in range(9):
+        for k in range(9):
+            out.append(("row", tuple(flat(i, j, k) for j in range(9))))
+    for j in range(9):
+        for k in range(9):
+            out.append(("column", tuple(flat(i, j, k) for i in range(9))))
+    for a in (0, 3, 6):
+        for b in (0, 3, 6):
+            for k in range(9):
+                out.append(
+                    ("subgrid", tuple(flat(a + i, b + j, k) for i in range(3) for j in range(3)))
+                )
+    for i in range(9):
+        for j in range(9):
+            out.append(("cell", tuple(flat(i, j, k) for k in range(9))))
+    return out
+
+
+def reference_plan(board, mask):
+    """(flat status vector, active slices as (kind, members, free)) of a
+    conflict-free clue set: each clue fixes its own entry to one and zeroes
+    the rest of every slice through it; a slice holding a fixed one is
+    void, and the others keep their free members if they have any."""
+    slices = _constraint_slices()
+    ones = {i * 9 + board[i] - 1 for i in range(81) if mask[i]}
+    zeros = {e for _, members in slices if ones & set(members) for e in members} - ones
+    status = np.full(729, FREE, dtype=np.int8)
+    status[sorted(zeros)] = FIXED_ZERO
+    status[sorted(ones)] = FIXED_ONE
+    active = []
+    for kind, members in slices:
+        free = tuple(m for m in members if status[m] == FREE)
+        if free and not ones & set(members):
+            active.append((kind, members, free))
+    return status, active
+
+
+def per_slice_sweep(tensor, plan):
+    """The sweep as one 1-d ``project_simplex`` call per active slice, on
+    its free entries, in plan order; returns the tensor and the largest
+    absolute entry change."""
+    flat = tensor.values.reshape(-1)
+    max_change = 0.0
+    for s in plan.slices:
+        idx = np.asarray(s.free, dtype=np.intp)
+        y = flat[idx]
+        x = project_simplex(y)
+        change = float(np.max(np.abs(x - y)))
+        if change > max_change:
+            max_change = change
+        flat[idx] = x
+    return tensor, max_change

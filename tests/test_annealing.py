@@ -1,9 +1,11 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+from sudokulab import annealing
 from sudokulab.annealing import (
     AnnealConfig,
     AnnealState,
@@ -180,6 +182,16 @@ class TestAnneal:
         report = anneal(board, mask, AnnealConfig(seed=0))
         assert report.solved
         assert is_solved(report.board)
+
+    def test_wall_time_counts_initial_fill(self, monkeypatch):
+        def slow_fill(puzzle, clue_mask, rng):
+            time.sleep(0.05)
+            return initial_board(puzzle, clue_mask, rng)
+
+        monkeypatch.setattr(annealing, "initial_board", slow_fill)
+        report = anneal(_FULL, _FULL_MASK)
+        assert report.solved
+        assert report.wall_time >= 0.05
 
     def test_deterministic(self, easy_suite):
         _, board, mask = easy_suite.puzzles[1]

@@ -128,6 +128,13 @@ class TestSolve:
         assert is_solved(report.board)
         assert report.work > 0
 
+    def test_work_counts_placement_attempts(self, sample, unsat_puzzle):
+        # stopped at the first solution, and with the tree exhausted
+        for board, mask in (sample, unsat_puzzle):
+            calls = []
+            enumerate_solutions(board, mask, cap=1, trace=lambda p, ok: calls.append(p))
+            assert solve(board, mask).work == len(calls)
+
     def test_unsolvable_report(self, unsat_puzzle):
         report = solve(*unsat_puzzle)
         assert not report.solved

@@ -76,6 +76,22 @@ class TestSolve:
     def test_unknown_method_exits_2(self, capsys):
         assert run_cli(["solve", "--method", "magic", SAMPLE_PUZZLE_LINE]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--method", "projection", "--max-sweeps", "0"],
+            ["--method", "annealing", "--cool", "1.5"],
+            ["--method", "annealing", "--max-iters", "0"],
+        ],
+        ids=["max-sweeps-0", "cool-1.5", "max-iters-0"],
+    )
+    def test_bad_config_exits_2(self, capsys, flags):
+        code = run_cli(["solve", *flags, SAMPLE_PUZZLE_LINE])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_unknown_flag_exits_2(self, capsys):
         assert run_cli(["solve", "--method", "backtracking", "--frobnicate"]) == 2
 
@@ -136,6 +152,15 @@ class TestBench:
         code = run_cli(["bench", "--suite", str(suite_path("easy")), "--methods", "magic"])
         assert code == 2
         assert "magic" in capsys.readouterr().err
+
+    def test_empty_suite_exits_2(self, tmp_path, capsys):
+        suite = tmp_path / "empty.txt"
+        suite.write_text("# no puzzles\n")
+        code = run_cli(["bench", "--suite", str(suite)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_missing_suite_file_exits_2(self, tmp_path):
         assert run_cli(["bench", "--suite", str(tmp_path / "none.txt")]) == 2

@@ -10,15 +10,17 @@ from sudokulab.projections import (
     ProbabilityTensor,
     ProjectionConfig,
     build_constraint_plan,
-    project_hyperplane,
-    project_rectangle,
     project_simplex,
     round_tensor,
     solve_by_projection,
     sweep,
 )
 
-from oracles import brute_force_simplex, solve_all
+from sudokulab import projections
+from sudokulab.bench import load_suite
+from sudokulab.datasets import suite_path
+
+from oracles import brute_force_simplex, per_slice_sweep, reference_plan, solve_all
 
 _FULL = solve_all((0,) * 81, cap=1)[0]
 
@@ -27,47 +29,16 @@ vectors = st.lists(
 ).map(np.asarray)
 
 
+def _bundled(name):
+    return load_suite(suite_path(name), name).puzzles
+
+
 def _indicator(board) -> ProbabilityTensor:
     t = ProbabilityTensor.zeros()
     for i in range(9):
         for j in range(9):
             t.values[i, j, board[i * 9 + j] - 1] = 1.0
     return t
-
-
-class TestRectangle:
-    def test_clamps(self):
-        out = project_rectangle([-1.0, 0.5, 2.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-        assert out.tolist() == [0.0, 0.5, 1.0]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            project_rectangle([1.0, 2.0], [0.0], [1.0])
-
-    def test_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            project_rectangle([0.0], [1.0], [0.0])
-
-    @given(vectors)
-    def test_interior_point_fixed(self, y):
-        lo, hi = np.full(y.shape, -10.0), np.full(y.shape, 10.0)
-        assert np.array_equal(project_rectangle(y, lo, hi), y)
-
-
-class TestHyperplane:
-    def test_unit_normal(self):
-        out = project_hyperplane([2.0, 0.0], [1.0, 0.0], 0.5)
-        assert out.tolist() == [0.5, 0.0]
-
-    def test_zero_normal(self):
-        with pytest.raises(ValueError):
-            project_hyperplane([1.0], [0.0], 1.0)
-
-    @given(vectors)
-    def test_result_on_plane(self, y):
-        v = np.ones(y.shape)
-        out = project_hyperplane(y, v, 1.0)
-        assert float(v @ out) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSimplex:
@@ -83,9 +54,31 @@ class TestSimplex:
         with pytest.raises(ValueError):
             project_simplex(np.array([]))
 
-    def test_matrix_rejected(self):
+    def test_stack_rows_match_1d(self):
+        # each row of a stack, -inf padding dropped, is projected exactly
+        # as the 1-d call on its present entries; padding comes out as 0
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            y = rng.uniform(-3.0, 3.0, (int(rng.integers(1, 12)), 9))
+            present = rng.random(y.shape) < 0.7
+            present[:, int(rng.integers(9))] = True
+            present[0] = True  # one row without padding
+            x = project_simplex(np.where(present, y, -np.inf))
+            assert x.shape == y.shape
+            for row in range(len(y)):
+                ref = project_simplex(y[row][present[row]])
+                assert x[row][present[row]].tobytes() == ref.tobytes()
+                assert np.all(x[row][~present[row]] == 0.0)
+
+    @pytest.mark.parametrize(
+        "point",
+        [np.float64(1.0), np.zeros((2, 2, 2)), np.zeros((0, 9)), np.zeros((3, 0)),
+         np.array([[1.0, 0.0], [-np.inf, -np.inf]])],
+        ids=["0-d", "3-d", "no-rows", "empty-rows", "all-absent-row"],
+    )
+    def test_bad_shapes_rejected(self, point):
         with pytest.raises(ValueError):
-            project_simplex(np.zeros((3, 3)))
+            project_simplex(point)
 
     @given(vectors)
     def test_feasible(self, y):
@@ -169,6 +162,16 @@ class TestConstraintPlan:
         with pytest.raises(PuzzleError):
             build_constraint_plan(tuple(board), tuple(mask))
 
+    @pytest.mark.parametrize("suite", ["easy", "medium", "hard"])
+    def test_matches_reference_on_bundled(self, suite):
+        for _, board, mask in _bundled(suite):
+            tensor, plan = build_constraint_plan(board, mask)
+            status, active = reference_plan(board, mask)
+            assert np.array_equal(tensor.status.reshape(-1), status)
+            assert np.array_equal(tensor.values.reshape(-1), (status == FIXED_ONE) * 1.0)
+            assert plan.fixed_count == np.count_nonzero(status)
+            assert [(s.kind, s.members, s.free) for s in plan.slices] == active
+
     def test_free_members_disjoint_from_fixed(self, sample):
         board, mask = sample
         tensor, plan = build_constraint_plan(board, mask)
@@ -202,6 +205,18 @@ class TestSweep:
         for _ in range(3):
             sweep(tensor, plan)
         assert np.array_equal(tensor.values[fixed], before[fixed])
+
+    @pytest.mark.parametrize("suite", ["easy", "medium", "hard"])
+    def test_batched_equals_per_slice(self, suite):
+        # bit-identical tensors and max_change, sweep by sweep
+        for _, board, mask in _bundled(suite):
+            tensor, plan = build_constraint_plan(board, mask)
+            ref = ProbabilityTensor(tensor.values.copy(), tensor.status)
+            for _ in range(25):
+                _, change = sweep(tensor, plan)
+                _, ref_change = per_slice_sweep(ref, plan)
+                assert change == ref_change
+                assert tensor.values.tobytes() == ref.values.tobytes()
 
 
 class TestRoundTensor:
@@ -269,6 +284,20 @@ class TestSolveByProjection:
         assert sweeps == list(range(1, report.work + 1))
         # rounded cost reaches zero exactly when the solver reports success
         assert (diag[-1][2] == 0) == report.solved
+
+    @pytest.mark.parametrize("suite", ["easy", "medium"])
+    def test_matches_per_slice_solve(self, suite, monkeypatch):
+        puzzles = _bundled(suite)
+        runs = []
+        for sweeper in (sweep, per_slice_sweep):
+            monkeypatch.setattr(projections, "sweep", sweeper)
+            run = []
+            for _, board, mask in puzzles:
+                diag = []
+                report = solve_by_projection(board, mask, diagnostics=diag)
+                run.append((report.board, report.work, report.solved, diag))
+            runs.append(run)
+        assert runs[0] == runs[1]
 
     def test_unsolved_reports_cost(self, unsat_puzzle):
         board, mask = unsat_puzzle
