@@ -20,11 +20,9 @@ from typing import Callable
 
 from .board import (
     Board,
-    CellRef,
     CELL_UNITS,
     ClueMask,
     UNITS,
-    cell_ref,
     digit_histogram,
     violation_cost,
 )
@@ -67,7 +65,6 @@ class AnnealState:
     _free: list[int] = field(repr=False, default_factory=list)          # non-clue cell indices
     _fpos: list[int] = field(repr=False, default_factory=list)          # cell -> slot in _free, -1 for clues
     _fw: list[float] = field(repr=False, default_factory=list)          # weight per free slot
-    _fw_total: float = field(repr=False, default=0.0)
 
     @classmethod
     def create(
@@ -81,35 +78,19 @@ class AnnealState:
             iteration=0,
             rng=rng if rng is not None else random.Random(config.seed),
         )
-        state._rebuild_caches()
-        return state
-
-    def _rebuild_caches(self) -> None:
-        self._counts = [[0] * 10 for _ in range(27)]
-        for i, d in enumerate(self.board):
+        counts = state._counts = [[0] * 10 for _ in range(27)]
+        for i, d in enumerate(state.board):
             for u in CELL_UNITS[i]:
-                self._counts[u][d] += 1
-        self._free = [i for i in range(81) if not self.clue_mask[i]]
-        self._fpos = [-1] * 81
-        for slot, i in enumerate(self._free):
-            self._fpos[i] = slot
-        self._fw = [_EXP_DEGREE[self._degree(i)] for i in self._free]
-        self._fw_total = sum(self._fw)
-
-    def _degree(self, i: int) -> int:
-        d = self.board[i]
-        counts = self._counts
-        return sum(1 for u in CELL_UNITS[i] if counts[u][d] >= 2)
-
-    def _draw_slot(self) -> int:
-        target = self.rng.random() * self._fw_total
-        acc = 0.0
-        fw = self._fw
-        for slot in range(len(fw)):
-            acc += fw[slot]
-            if acc > target:
-                return slot
-        return len(fw) - 1  # float round-off on the final bin
+                counts[u][d] += 1
+        state._free = [i for i in range(81) if not clue_mask[i]]
+        state._fpos = [-1] * 81
+        for slot, i in enumerate(state._free):
+            state._fpos[i] = slot
+        # weight exp(degree), the degree counting the units that repeat the cell's digit
+        state._fw = [
+            _EXP_DEGREE[sum(counts[u][board[i]] >= 2 for u in CELL_UNITS[i])] for i in state._free
+        ]
+        return state
 
 
 def initial_board(puzzle: Board, clue_mask: ClueMask, rng: random.Random) -> Board:
@@ -128,18 +109,6 @@ def initial_board(puzzle: Board, clue_mask: ClueMask, rng: random.Random) -> Boa
             filled[i] = pool[pos]
             pos += 1
     return tuple(filled)
-
-
-def propose_swap(state: AnnealState) -> tuple[CellRef, CellRef]:
-    """Draw two distinct non-clue cells, each weighted by exp(degree);
-    the second draw repeats until it differs from the first."""
-    if len(state._free) < 2:
-        raise ValueError("need at least two non-clue cells to propose a swap")
-    a = state._draw_slot()
-    b = state._draw_slot()
-    while b == a:
-        b = state._draw_slot()
-    return cell_ref(state._free[a]), cell_ref(state._free[b])
 
 
 def acceptance_probability(cost_current: int, cost_proposed: int, temperature: float) -> float:
@@ -266,16 +235,11 @@ def anneal(
             state.cost = cost
             state.temperature = temp
             state.iteration = n
-            state._fw_total = total
             observer(state)
         if cost == 0:
             solved = True
             break
 
-    state.cost = cost
-    state.temperature = temp
-    state.iteration = n
-    state._fw_total = total
     elapsed = time.perf_counter() - start
     return SolveReport(
         "annealing", solved, tuple(board), elapsed, n, final_cost=cost

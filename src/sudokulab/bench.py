@@ -6,14 +6,18 @@ import csv
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from . import annealing, backtracking, projections
+from . import annealing, backtracking
 from .board import Board, ClueMask, clues_respected, is_solved, parse_puzzle, PuzzleError
 from .report import SolveReport
 
+if TYPE_CHECKING:
+    from .projections import ProjectionConfig
+
 METHODS = ("backtracking", "annealing", "projection")
 
-REPORTS_HEADER = "suite,puzzle_id,method,solved,wall_time_s,work"
+REPORTS_HEADER = "suite,puzzle_id,method,solved,wall_time_s,work,final_cost,note"
 STATS_HEADER = "suite,method,success_rate,min_s,median_s,mean_s,max_s"
 
 
@@ -60,36 +64,37 @@ def load_suite(path, name: str) -> PuzzleSuite:
     return PuzzleSuite(name=name, puzzles=tuple(puzzles))
 
 
-def _solve_one(
-    puzzle: Board,
-    mask: ClueMask,
-    method: str,
-    seed: int,
-    anneal_config: annealing.AnnealConfig,
-    projection_config: projections.ProjectionConfig,
-) -> SolveReport:
-    try:
-        if method == "backtracking":
-            return backtracking.solve(puzzle, mask)
-        if method == "annealing":
-            cfg = replace(anneal_config, seed=seed)
-            return annealing.anneal(puzzle, mask, cfg)
-        if method == "projection":
-            return projections.solve_by_projection(puzzle, mask, projection_config)
-        raise ValueError(f"unknown method {method!r}")
-    except ValueError as exc:
-        return SolveReport(method, False, puzzle, 0.0, 0, note=f"error: {exc}")
+def solve(method: str, puzzle: Board, mask: ClueMask, config=None) -> SolveReport:
+    """Run one method on one puzzle.  ``config`` is the method's config
+    object (``AnnealConfig`` or ``ProjectionConfig``), None for its
+    defaults; backtracking takes none."""
+    if method == "backtracking":
+        return backtracking.solve(puzzle, mask)
+    if method == "annealing":
+        return annealing.anneal(puzzle, mask, config)
+    if method == "projection":
+        from . import projections  # the only solver that needs numpy
+
+        return projections.solve_by_projection(puzzle, mask, config)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _run_job(args) -> SolveReport:
-    return _solve_one(*args)
+    """One bench run; an exception from the solver becomes an unsolved
+    report, so one crashing run cannot abort the bench."""
+    puzzle, mask, method, config = args
+    try:
+        return solve(method, puzzle, mask, config)
+    except Exception as exc:
+        note = f"error: {type(exc).__name__}: {exc}"
+        return SolveReport(method, False, puzzle, 0.0, 0, note=note)
 
 
 def run_bench(
     suite: PuzzleSuite,
     methods=METHODS,
     anneal_config: annealing.AnnealConfig | None = None,
-    projection_config: projections.ProjectionConfig | None = None,
+    projection_config: ProjectionConfig | None = None,
     base_seed: int = 0,
     jobs: int = 1,
 ) -> list[BenchRecord]:
@@ -100,13 +105,16 @@ def run_bench(
     if not suite.puzzles or not methods:
         raise ValueError("suite and methods must be nonempty")
     acfg = anneal_config or annealing.AnnealConfig()
-    pcfg = projection_config or projections.ProjectionConfig()
+    configs = {"projection": projection_config}
     tasks = [
         (pid, puzzle, mask, method)
         for method in methods
         for pid, puzzle, mask in suite.puzzles
     ]
-    job_args = [(p, m, meth, base_seed + pid, acfg, pcfg) for pid, p, m, meth in tasks]
+    job_args = [
+        (p, m, meth, replace(acfg, seed=base_seed + pid) if meth == "annealing" else configs.get(meth))
+        for pid, p, m, meth in tasks
+    ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_run_job, job_args))
@@ -156,14 +164,6 @@ def _fmt(t: float | None) -> str:
     return "" if t is None else f"{t:.6f}"
 
 
-def export_csv(rows, path) -> None:
-    """Write either bench records or summary stats as CSV."""
-    if rows and isinstance(rows[0], SummaryStats):
-        export_stats_csv(rows, path)
-    else:
-        export_reports_csv(rows, path)
-
-
 def export_reports_csv(records: list[BenchRecord], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -177,6 +177,8 @@ def export_reports_csv(records: list[BenchRecord], path) -> None:
                     "true" if rec.report.solved else "false",
                     f"{rec.report.wall_time:.6f}",
                     rec.report.work,
+                    rec.report.final_cost,  # csv writes None as an empty field
+                    rec.report.note,
                 ]
             )
 

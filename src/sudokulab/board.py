@@ -143,17 +143,9 @@ def is_solved(board: Board) -> bool:
     return 0 not in board and violation_cost(board) == 0
 
 
-def clue_count(mask: ClueMask) -> int:
-    return sum(mask)
-
-
 def clues_respected(board: Board, puzzle: Board, mask: ClueMask) -> bool:
     """True when every clue cell of the puzzle is unchanged on the board."""
     return all(board[i] == puzzle[i] for i in range(81) if mask[i])
-
-
-def empty_cells(board: Board) -> list[CellRef]:
-    return [cell_ref(i) for i in range(81) if board[i] == 0]
 
 
 def digit_histogram(board: Iterable[int]) -> list[int]:

@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-from . import annealing, backtracking, bench, projections
+from . import annealing, backtracking, bench
 from .board import PuzzleError, parse_puzzle, render_board
 
 
@@ -16,17 +17,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sudokulab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="solve one puzzle with a chosen method")
+    solve = sub.add_parser(
+        "solve", help="solve one puzzle with a chosen method",
+        epilog="An unset solver flag keeps the default of AnnealConfig or ProjectionConfig.",
+    )
     solve.add_argument("--method", required=True, choices=bench.METHODS)
     _add_puzzle_args(solve)
     solve.add_argument("--line", action="store_true", help="print the result in line format")
-    solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--max-iters", type=int, default=200_000, help="annealing iteration cap")
-    solve.add_argument("--t0", type=float, default=200.0, help="annealing initial temperature")
-    solve.add_argument("--cool", type=float, default=0.99, help="annealing cooling factor")
-    solve.add_argument("--period", type=int, default=50, help="proposals per cooling step")
-    solve.add_argument("--max-sweeps", type=int, default=2000, help="projection sweep cap")
-    solve.add_argument("--tol", type=float, default=1e-9, help="projection stall tolerance")
+    # each flag's dest is the name of the config field it sets
+    solve.add_argument("--seed", type=int, help="annealing chain seed")
+    solve.add_argument("--max-iters", type=int, dest="max_iterations", help="annealing iteration cap")
+    solve.add_argument("--t0", type=float, dest="initial_temperature", help="annealing initial temperature")
+    solve.add_argument("--cool", type=float, dest="cooling_factor", help="annealing cooling factor")
+    solve.add_argument("--period", type=int, dest="cooling_period", help="proposals per cooling step")
+    solve.add_argument("--max-sweeps", type=int, help="projection sweep cap")
+    solve.add_argument("--tol", type=float, dest="stall_tolerance", help="projection stall tolerance")
 
     verify = sub.add_parser("verify", help="check whether a puzzle has a unique solution")
     _add_puzzle_args(verify)
@@ -58,23 +63,26 @@ def _read_puzzle(args):
     return parse_puzzle(text)
 
 
+def _solve_config(args):
+    """The chosen method's config, with the fields of the flags the user
+    set; None when the method takes no config."""
+    if args.method == "annealing":
+        cls = annealing.AnnealConfig
+    elif args.method == "projection":
+        from .projections import ProjectionConfig as cls
+    else:
+        return None
+    flags = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    kwargs = {name: value for name, value in flags.items() if value is not None}
+    if "max_iterations" in kwargs:
+        # a cap below the default reset point moves the reset to the cap
+        kwargs["reset_at"] = min(annealing.AnnealConfig.reset_at, kwargs["max_iterations"])
+    return cls(**kwargs)
+
+
 def _cmd_solve(args) -> int:
     puzzle, mask = _read_puzzle(args)
-    if args.method == "backtracking":
-        report = backtracking.solve(puzzle, mask)
-    elif args.method == "annealing":
-        cfg = annealing.AnnealConfig(
-            initial_temperature=args.t0,
-            cooling_factor=args.cool,
-            cooling_period=args.period,
-            max_iterations=args.max_iters,
-            reset_at=min(100_000, args.max_iters),
-            seed=args.seed,
-        )
-        report = annealing.anneal(puzzle, mask, cfg)
-    else:
-        cfg = projections.ProjectionConfig(max_sweeps=args.max_sweeps, stall_tolerance=args.tol)
-        report = projections.solve_by_projection(puzzle, mask, cfg)
+    report = bench.solve(args.method, puzzle, mask, _solve_config(args))
     if not report.solved:
         print(
             f"{args.method} failed after {report.work} steps"

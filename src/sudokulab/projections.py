@@ -75,11 +75,10 @@ class ConstraintPlan:
 class ProjectionConfig:
     max_sweeps: int = 2000
     stall_tolerance: float = 1e-9
-    check_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.max_sweeps < 1 or self.check_every < 1:
-            raise ValueError("max_sweeps and check_every must be positive")
+        if self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be positive")
         if self.stall_tolerance < 0:
             raise ValueError("stall_tolerance must be nonnegative")
 
@@ -183,7 +182,7 @@ def sweep(tensor: ProbabilityTensor, plan: ConstraintPlan) -> tuple[ProbabilityT
 def round_tensor(tensor: ProbabilityTensor) -> Board:
     """Impute to each cell the digit of maximal probability; ties go to
     the smallest digit."""
-    return tuple(int(d) for d in (np.argmax(tensor.values, axis=2) + 1).reshape(-1))
+    return tuple((np.argmax(tensor.values, axis=2) + 1).reshape(-1).tolist())
 
 
 def solve_by_projection(
@@ -193,36 +192,25 @@ def solve_by_projection(
     diagnostics: list[tuple[int, float, int]] | None = None,
 ) -> SolveReport:
     """Alternating projections from the origin, rounding after every
-    ``check_every`` sweeps; stops on a solved rounding, a stalled sweep,
-    or the sweep cap.  ``diagnostics`` collects (sweep, max_change,
-    rounded_cost) rows when supplied."""
+    sweep; stops on a solved rounding, a stalled sweep, or the sweep cap.
+    ``diagnostics`` collects (sweep, max_change, rounded_cost) rows when
+    supplied."""
     cfg = config or ProjectionConfig()
     start = time.perf_counter()
     tensor, plan = build_constraint_plan(puzzle, clue_mask)
 
     board = round_tensor(tensor)
-    if is_solved(board):
-        return SolveReport(
-            "projection", True, board, time.perf_counter() - start, 0, final_cost=0
-        )
-
+    solved = is_solved(board)
     sweeps = 0
-    solved = False
-    while sweeps < cfg.max_sweeps:
+    max_change = np.inf
+    while not solved and sweeps < cfg.max_sweeps and max_change >= cfg.stall_tolerance:
         tensor, max_change = sweep(tensor, plan)
         sweeps += 1
-        if sweeps % cfg.check_every == 0:
-            board = round_tensor(tensor)
-            if diagnostics is not None:
-                diagnostics.append((sweeps, max_change, violation_cost(board)))
-            if is_solved(board):
-                solved = True
-                break
-        if max_change < cfg.stall_tolerance:
-            break
+        board = round_tensor(tensor)
+        if diagnostics is not None:
+            diagnostics.append((sweeps, max_change, violation_cost(board)))
+        solved = is_solved(board)
 
-    board = round_tensor(tensor)
-    solved = is_solved(board)
     return SolveReport(
         "projection",
         solved,

@@ -75,6 +75,32 @@ def search_head(board, count):
     return events
 
 
+def weighted_draw(weights, rng):
+    """A slot drawn with probability proportional to its weight, by a
+    linear scan: the first slot whose running weight sum exceeds one
+    uniform deviate times the total; the last slot on float round-off."""
+    total = 0.0
+    for w in weights:
+        total += w
+    target = rng.random() * total
+    acc = 0.0
+    for slot, w in enumerate(weights):
+        acc += w
+        if acc > target:
+            return slot
+    return len(weights) - 1
+
+
+def weighted_pair(weights, rng):
+    """Two distinct slots by ``weighted_draw``; the second draw repeats
+    until it differs from the first."""
+    a = weighted_draw(weights, rng)
+    b = weighted_draw(weights, rng)
+    while b == a:
+        b = weighted_draw(weights, rng)
+    return a, b
+
+
 def unit_scan_solved(board) -> bool:
     """Full-board check by scanning all rows, columns, and subgrids."""
     if any(d == 0 for d in board):

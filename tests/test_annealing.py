@@ -8,15 +8,13 @@ from hypothesis import given, strategies as st
 from sudokulab import annealing
 from sudokulab.annealing import (
     AnnealConfig,
-    AnnealState,
     acceptance_probability,
     anneal,
     initial_board,
-    propose_swap,
 )
-from sudokulab.board import cell_index, digit_histogram, is_solved, violation_cost
+from sudokulab.board import cell_ref, cell_violation_degree, digit_histogram, is_solved, violation_cost
 
-from oracles import solve_all
+from oracles import solve_all, weighted_pair
 
 _FULL = solve_all((0,) * 81, cap=1)[0]
 _FULL_MASK = (True,) * 81
@@ -98,78 +96,34 @@ class TestAcceptanceProbability:
             assert acceptance_probability(c0, c1, thi) >= acceptance_probability(c0, c1, tlo)
 
 
-def _state_on(board, mask, seed=0):
-    return AnnealState.create(board, mask, AnnealConfig(seed=seed))
+class TestProposal:
+    def test_live_loop_draws_by_exp_degree(self, sample):
+        # at each observer call every free cell weighs exp(degree), and the
+        # next iteration changes no cell but the pair that a linear-scan
+        # weighted draw picks from the same generator state and weights
+        board, mask = sample
+        last = []  # (generator state, weights, board) at the previous call
+        moves = 0
 
+        def observer(state):
+            nonlocal moves
+            now = tuple(state.board)
+            for slot, i in enumerate(state._free):
+                assert state._fw[slot] == math.exp(cell_violation_degree(now, cell_ref(i)))
+            if last:
+                rng_state, weights, before = last.pop()
+                rng = random.Random()
+                rng.setstate(rng_state)
+                a, b = weighted_pair(weights, rng)
+                changed = {i for i in range(81) if now[i] != before[i]}
+                assert changed in (set(), {state._free[a], state._free[b]})
+                moves += bool(changed)
+            last.append((state.rng.getstate(), list(state._fw), now))
 
-class TestProposeSwap:
-    def test_two_free_cells(self):
-        mask = [True] * 81
-        mask[3] = mask[60] = False
-        pair = propose_swap(_state_on(_FULL, tuple(mask)))
-        assert {cell_index(*pair[0]), cell_index(*pair[1])} == {3, 60}
-
-    def test_too_few_free_cells(self):
-        mask = [True] * 81
-        mask[3] = False
-        with pytest.raises(ValueError):
-            propose_swap(_state_on(_FULL, tuple(mask)))
-
-    def test_uniform_on_violation_free_board(self):
-        # solved board: every degree is 0, so first draws must be uniform
-        mask = [False] * 81
-        for i in range(0, 81, 4):
-            mask[i] = True
-        state = _state_on(_FULL, tuple(mask), seed=42)
-        free = [i for i in range(81) if not mask[i]]
-        counts = dict.fromkeys(free, 0)
-        draws = 100_000
-        for _ in range(draws):
-            a, _b = propose_swap(state)
-            counts[cell_index(*a)] += 1
-        expected = draws / len(free)
-        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
-        dof = len(free) - 1
-        assert chi2 < dof + 3 * math.sqrt(2 * dof)
-
-    def test_exp_weighting_of_violating_cell(self):
-        # corrupt one cell so it is duplicated in all three of its units;
-        # mask its three duplicate partners so every other free cell has
-        # degree 0, then the hot cell must be drawn ~e^3 as often
-        hot = cell_index(5, 5)
-        r, c = 4, 4
-        orig = _FULL[hot]
-        for d in range(1, 10):
-            if d == orig:
-                continue
-            involved = [
-                i for i in range(81)
-                if i != hot and _FULL[i] == d
-                and (i // 9 == r or i % 9 == c
-                     or (i // 27 == r // 3 and (i % 9) // 3 == c // 3))
-            ]
-            if len(involved) == 3:
-                break
-        else:
-            raise AssertionError("no digit with three distinct duplicates")
-        board = list(_FULL)
-        board[hot] = d
-        mask = [False] * 81
-        for i in involved:
-            mask[i] = True
-        state = _state_on(tuple(board), tuple(mask), seed=7)
-        n_free = 81 - 3
-        draws = 1_000_000
-        hot_hits = 0
-        for _ in range(draws):
-            a, _b = propose_swap(state)
-            if cell_index(*a) == hot:
-                hot_hits += 1
-        w = math.exp(3)
-        expected_rate = w / (w + (n_free - 1))
-        observed_ratio = (hot_hits / draws) / ((1 - hot_hits / draws) / (n_free - 1))
-        assert observed_ratio == pytest.approx(w, rel=0.05)
-        assert hot_hits / draws == pytest.approx(expected_rate, rel=0.05)
+        cfg = AnnealConfig(seed=5, max_iterations=2_000, reset_at=2_000)
+        report = anneal(board, mask, cfg, observer)
+        assert report.work == 2_000
+        assert moves > 1_000
 
 
 class TestAnneal:

@@ -8,7 +8,8 @@ from sudokulab.bench import (
     REPORTS_HEADER,
     STATS_HEADER,
     SummaryStats,
-    export_csv,
+    export_reports_csv,
+    export_stats_csv,
     format_stats_table,
     load_suite,
     run_bench,
@@ -92,7 +93,7 @@ class TestRunBench:
             direct = anneal(puzzle, mask, replace(FAST_ANNEAL, seed=7 + rec.puzzle_id))
             assert rec.report.board == direct.board
 
-    def test_recheck_demotes_bad_claims(self, easy_suite, monkeypatch):
+    def test_recheck_demotes_bad_claims(self, easy_suite, monkeypatch, tmp_path):
         suite = _tiny(easy_suite)
 
         def liar(args):
@@ -103,6 +104,43 @@ class TestRunBench:
         records = run_bench(suite, methods=("backtracking",))
         assert all(not r.report.solved for r in records)
         assert all(r.report.note == "failed independent re-check" for r in records)
+        path = tmp_path / "reports.csv"
+        export_reports_csv(records, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["solved"], r["final_cost"], r["note"]) for r in rows] == [
+            ("false", "", "failed independent re-check")
+        ] * len(records)
+
+    def test_solver_exception_is_a_per_run_error(self, easy_suite, monkeypatch, tmp_path):
+        suite = _tiny(easy_suite)
+        methods = ("backtracking", "projection")
+        n = len(suite)
+
+        def outcomes(records):
+            return [
+                (r.puzzle_id, r.report.method, r.report.solved, r.report.board,
+                 r.report.work, r.report.final_cost, r.report.note)
+                for r in records
+            ]
+
+        clean = run_bench(suite, methods=methods)
+
+        def crash(puzzle, mask):
+            raise RuntimeError("solver crashed")
+
+        monkeypatch.setattr("sudokulab.backtracking.solve", crash)
+        records = run_bench(suite, methods=methods)
+        error = "error: RuntimeError: solver crashed"
+        assert [(r.report.method, r.report.solved, r.report.note) for r in records[:n]] == [
+            ("backtracking", False, error)
+        ] * n
+        assert outcomes(records[n:]) == outcomes(clean[n:])
+        path = tmp_path / "reports.csv"
+        export_reports_csv(records, path)
+        with open(path, newline="") as fh:
+            notes = [row["note"] for row in csv.DictReader(fh)]
+        assert notes == [error] * n + [""] * n
 
     def test_empty_inputs_rejected(self, easy_suite):
         from sudokulab.bench import PuzzleSuite
@@ -183,7 +221,7 @@ class TestCsv:
         suite = _tiny(easy_suite)
         records = run_bench(suite, methods=("backtracking",))
         path = tmp_path / "reports.csv"
-        export_csv(records, path)
+        export_reports_csv(records, path)
         lines = path.read_text().splitlines()
         assert lines[0] == REPORTS_HEADER
         assert len(lines) == 1 + len(records)
@@ -195,6 +233,8 @@ class TestCsv:
             assert row["solved"] == ("true" if rec.report.solved else "false")
             assert row["wall_time_s"] == f"{rec.report.wall_time:.6f}"
             assert int(row["work"]) == rec.report.work
+            assert int(row["final_cost"]) == rec.report.final_cost == 0
+            assert row["note"] == ""
 
     def test_stats_header_and_blanks(self, tmp_path):
         stats = [
@@ -202,7 +242,7 @@ class TestCsv:
             SummaryStats("s", "m2", 0.0, None, None, None, None),
         ]
         path = tmp_path / "stats.csv"
-        export_csv(stats, path)
+        export_stats_csv(stats, path)
         lines = path.read_text().splitlines()
         assert lines[0] == STATS_HEADER
         assert lines[1] == "s,m,0.500000,0.100000,0.200000,0.200000,0.300000"
@@ -210,8 +250,11 @@ class TestCsv:
 
     def test_empty_records_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        export_csv([], path)
+        export_reports_csv([], path)
         assert path.read_text().splitlines() == [REPORTS_HEADER]
+        path = tmp_path / "empty_stats.csv"
+        export_stats_csv([], path)
+        assert path.read_text().splitlines() == [STATS_HEADER]
 
 
 def test_format_stats_table():

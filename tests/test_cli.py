@@ -1,10 +1,18 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sudokulab
+from sudokulab.annealing import AnnealConfig
 from sudokulab.board import is_solved, parse_puzzle, render_board
 from sudokulab.cli import run_cli
 from sudokulab.datasets import SAMPLE_PUZZLE_LINE, suite_path
+from sudokulab.projections import ProjectionConfig
+from sudokulab.report import SolveReport
 
 from oracles import unit_scan_solved
 
@@ -95,6 +103,35 @@ class TestSolve:
     def test_unknown_flag_exits_2(self, capsys):
         assert run_cli(["solve", "--method", "backtracking", "--frobnicate"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (["--method", "annealing"], AnnealConfig()),
+            (["--method", "annealing", "--seed", "3", "--t0", "50", "--cool", "0.9", "--period", "7"],
+             AnnealConfig(initial_temperature=50.0, cooling_factor=0.9, cooling_period=7, seed=3)),
+            (["--method", "annealing", "--max-iters", "500"],
+             AnnealConfig(max_iterations=500, reset_at=500)),
+            (["--method", "annealing", "--max-iters", "150000"],
+             AnnealConfig(max_iterations=150_000)),
+            (["--method", "projection"], ProjectionConfig()),
+            (["--method", "projection", "--max-sweeps", "9", "--tol", "0.5", "--seed", "1"],
+             ProjectionConfig(max_sweeps=9, stall_tolerance=0.5)),
+            (["--method", "backtracking", "--max-iters", "5", "--max-sweeps", "5"], None),
+        ],
+        ids=["anneal-defaults", "anneal-flags", "short-cap", "long-cap", "projection-defaults",
+             "projection-flags", "backtracking"],
+    )
+    def test_flags_set_only_their_config_fields(self, monkeypatch, capsys, flags, expected):
+        calls = []
+
+        def fake_solve(method, puzzle, mask, config=None):
+            calls.append((method, config))
+            return SolveReport(method, True, puzzle, 0.0, 0)
+
+        monkeypatch.setattr("sudokulab.bench.solve", fake_solve)
+        assert run_cli(["solve", *flags, SAMPLE_PUZZLE_LINE]) == 0
+        assert calls == [(flags[1], expected)]
+
 
 class TestVerify:
     def test_unique(self, capsys, easy_suite):
@@ -164,6 +201,16 @@ class TestBench:
 
     def test_missing_suite_file_exits_2(self, tmp_path):
         assert run_cli(["bench", "--suite", str(tmp_path / "none.txt")]) == 2
+
+
+def test_cli_and_bench_import_without_numpy():
+    # only the projection solver needs numpy, so the other commands skip its import
+    src = Path(sudokulab.__file__).resolve().parents[1]
+    code = "import sys, sudokulab.cli, sudokulab.bench; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 class TestUsage:
