@@ -152,6 +152,10 @@ def anneal(
     t0, cool, period = cfg.initial_temperature, cfg.cooling_factor, cfg.cooling_period
     max_iters, reset_at = cfg.max_iterations, cfg.reset_at
     nfree = len(free)
+    if nfree < 2:
+        # the clues conflict and no swap can move: the distinct second
+        # draw below would never end
+        raise ValueError("need at least two non-clue cells to propose a swap")
 
     reset_base = 0
     temp = t0

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 import time
@@ -94,6 +95,109 @@ class TestAcceptanceProbability:
         tlo, thi = sorted((t1, t2))
         if c1 > c0:
             assert acceptance_probability(c0, c1, thi) >= acceptance_probability(c0, c1, tlo)
+
+
+def _live_draws(monkeypatch, board, mask, iterations, seed=0):
+    """Run the annealing loop from ``board`` as given (the random fill is
+    patched out) and return its report and, per iteration, the cells of
+    its weighted draws in order: the first cell, then the second draw and
+    its repeats until one differs from the first."""
+    monkeypatch.setattr(annealing, "initial_board", lambda puzzle, clue_mask, rng: puzzle)
+    slots = []
+
+    def recording_bisect(cum, x):
+        slots.append(bisect.bisect_right(cum, x))
+        return slots[-1]
+
+    monkeypatch.setattr(annealing, "bisect_right", recording_bisect)
+    draws = []
+
+    def observer(state):  # called once after each iteration
+        draws.append([state._free[s] for s in slots])
+        slots.clear()
+
+    cfg = AnnealConfig(seed=seed, max_iterations=iterations, reset_at=iterations)
+    return anneal(board, mask, cfg, observer), draws
+
+
+class TestProposeSwap:
+    def test_two_free_cells(self, monkeypatch):
+        board = list(_FULL)
+        board[3], board[60] = board[60], board[3]
+        assert board[3] != board[60]
+        mask = [True] * 81
+        mask[3] = mask[60] = False
+        report, draws = _live_draws(monkeypatch, tuple(board), tuple(mask), 10)
+        # the only pair is drawn and swapping it back solves the board
+        assert report.solved and report.work == 1 and report.board == _FULL
+        assert set(draws[0]) == {3, 60} and draws[0][0] != draws[0][-1]
+
+    def test_too_few_free_cells(self):
+        # two clues swapped across units conflict; one free cell cannot move
+        board = list(_FULL)
+        board[0], board[40] = board[40], board[0]
+        assert board[0] != board[40]
+        mask = [True] * 81
+        mask[80] = False
+        board[80] = 0
+        with pytest.raises(ValueError):
+            anneal(tuple(board), tuple(mask), AnnealConfig(max_iterations=10, reset_at=10))
+
+    def test_uniform_on_violation_free_board(self, monkeypatch):
+        # the nine cells holding 1 are free and conflict with nothing, so
+        # every weight is exp(0); a clue repeated in its units keeps the
+        # cost positive, and swapping two equal digits leaves the weights
+        # as they are, so every first draw must be uniform
+        board = list(_FULL)
+        clue = next(i for i in range(81) if _FULL[i] != 1)
+        board[clue] = 2 if _FULL[clue] != 2 else 3
+        mask = tuple(d != 1 for d in board)
+        assert violation_cost(board) > 0
+        draws_n = 100_000
+        report, draws = _live_draws(monkeypatch, tuple(board), mask, draws_n, seed=42)
+        assert report.work == draws_n and tuple(report.board) == tuple(board)
+        free = [i for i in range(81) if not mask[i]]
+        counts = dict.fromkeys(free, 0)
+        for d in draws:
+            counts[d[0]] += 1
+        expected = draws_n / len(free)
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        dof = len(free) - 1
+        assert chi2 < dof + 3 * math.sqrt(2 * dof)
+
+    def test_exp_weighting_of_violating_cell(self, monkeypatch):
+        # write a 1 into a cell whose row, column and box hold their 1s in
+        # three distinct cells; with those three as clues and the other
+        # cells holding 1 free, the hot cell has degree 3 and the six
+        # others degree 0, so the hot cell must be drawn ~e^3 as often
+        ones = [i for i in range(81) if _FULL[i] == 1]
+        for hot in range(81):
+            if _FULL[hot] == 1:
+                continue
+            r, c = divmod(hot, 9)
+            involved = {
+                i for i in ones
+                if i // 9 == r or i % 9 == c
+                or (i // 27 == r // 3 and (i % 9) // 3 == c // 3)
+            }
+            if len(involved) == 3:
+                break
+        else:
+            raise AssertionError("no cell whose units hold three distinct 1s")
+        board = list(_FULL)
+        board[hot] = 1
+        mask = [not (board[i] == 1 and i not in involved) for i in range(81)]
+        n_free = 9 - 3 + 1
+        assert sum(not m for m in mask) == n_free
+        draws_n = 200_000
+        report, draws = _live_draws(monkeypatch, tuple(board), tuple(mask), draws_n, seed=7)
+        assert report.work == draws_n
+        hot_hits = sum(d[0] == hot for d in draws)
+        w = math.exp(3)
+        expected_rate = w / (w + (n_free - 1))
+        observed_ratio = (hot_hits / draws_n) / ((1 - hot_hits / draws_n) / (n_free - 1))
+        assert observed_ratio == pytest.approx(w, rel=0.05)
+        assert hot_hits / draws_n == pytest.approx(expected_rate, rel=0.05)
 
 
 class TestProposal:

@@ -236,7 +236,7 @@ class TestRoundTensor:
 class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_sweeps": 0}, {"stall_tolerance": -1.0}],
+        [{"max_sweeps": 0}, {"max_sweeps": -1}, {"stall_tolerance": -1.0}],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
