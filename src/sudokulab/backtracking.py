@@ -2,10 +2,10 @@
 
 Empty cells are ordered once, on the initial board, by ascending candidate
 list size (ties broken row-major).  The search grows a digit string along
-that order in dictionary order, abandoning a prefix the moment a placed
-digit duplicates a digit in one of its three units.  Enumeration therefore
-yields complete solutions in the dictionary order induced by the cell
-ordering, and exhausting the tree proves uniqueness or unsatisfiability.
+that order in dictionary order, abandoning a prefix the moment a placed digit
+duplicates a digit in one of its three units (read from 27 unit bitmasks).
+Enumeration thus yields complete solutions in the dictionary order induced by
+the cell ordering; exhausting the tree proves uniqueness or unsatisfiability.
 """
 from __future__ import annotations
 
@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .board import (
+    CELL_UNITS,
     Board,
     CellRef,
     ClueMask,
-    PEERS,
+    PuzzleError,
     candidates,
     cell_index,
     cell_ref,
@@ -59,7 +60,8 @@ def enumerate_solutions(
     """Return up to ``cap`` complete solutions in dictionary order.
 
     Returns fewer than ``cap`` boards iff the whole search tree was
-    exhausted, which proves no further solution exists.
+    exhausted, which proves no further solution exists.  Raises
+    ``PuzzleError`` when two filled cells of one unit hold the same digit.
     """
     return _search(board, cap, trace)[0]
 
@@ -68,6 +70,12 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
     """Up to ``cap`` solutions and the number of placement attempts made."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    used = [0] * 27  # per unit, bit d set while digit d is in it; empties set bit 0, never read
+    for i, d in enumerate(board):
+        if d and any(used[u] >> d & 1 for u in CELL_UNITS[i]):
+            raise PuzzleError(f"clue conflict: digit {d} repeated in a unit of cell {cell_ref(i)}")
+        for u in CELL_UNITS[i]:
+            used[u] |= 1 << d
     order = order_cells(board)
     cells = [cell_index(r, c) for r, c in order.cells]
     lists = order.lists
@@ -82,20 +90,23 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
             solutions.append(tuple(grid))
             return len(solutions) >= cap
         i = cells[depth]
-        peers = PEERS[i]
+        u0, u1, u2 = CELL_UNITS[i]
         digits = lists[depth]
         # attempts are counted once per call: all of its digits, or those
         # up to the one whose subtree ended the search
         for d in digits:
-            ok = all(grid[j] != d for j in peers)
+            bit = 1 << d
+            ok = not (used[u0] | used[u1] | used[u2]) & bit
             if trace is not None:
                 # the prefix is the digits placed so far, in search order
                 trace("".join(str(grid[c]) for c in cells[:depth]) + str(d), ok)
             if ok:
                 grid[i] = d
+                used[u0], used[u1], used[u2] = used[u0] | bit, used[u1] | bit, used[u2] | bit
                 if dfs(depth + 1):
                     nodes += digits.index(d) + 1
                     return True
+                used[u0], used[u1], used[u2] = used[u0] ^ bit, used[u1] ^ bit, used[u2] ^ bit
                 grid[i] = 0
         nodes += len(digits)
         return False
@@ -106,7 +117,8 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
 
 def solve(board: Board, clue_mask: ClueMask) -> SolveReport:
     """First solution (or failure) with a work count of placement attempts,
-    the calls a ``trace`` hook would receive."""
+    the calls a ``trace`` hook would receive.  Raises ``PuzzleError`` when
+    two filled cells of one unit hold the same digit."""
     start = time.perf_counter()
     found, nodes = _search(board, 1, None)
     elapsed = time.perf_counter() - start

@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 
+from sudokulab.backtracking import order_cells
+from sudokulab.board import PEERS, cell_index
 from sudokulab.projections import FIXED_ONE, FIXED_ZERO, FREE, project_simplex
 
 
@@ -73,6 +75,43 @@ def search_head(board, count):
 
     rec(0, "")
     return events
+
+
+def peer_scan_search(board, cap, trace=None):
+    """(up to ``cap`` solutions, placement attempts) of the package's
+    static-order search, each placement tested by scanning the cell's 20
+    peers on the grid; attempts are counted as ``backtracking.solve``
+    counts them, and ``trace`` receives the same (prefix, feasible) calls."""
+    order = order_cells(board)
+    cells = [cell_index(r, c) for r, c in order.cells]
+    lists = order.lists
+    grid = list(board)
+    solutions = []
+    n = len(cells)
+    nodes = 0
+
+    def dfs(depth):
+        nonlocal nodes
+        if depth == n:
+            solutions.append(tuple(grid))
+            return len(solutions) >= cap
+        i = cells[depth]
+        digits = lists[depth]
+        for d in digits:
+            ok = all(grid[j] != d for j in PEERS[i])
+            if trace is not None:
+                trace("".join(str(grid[c]) for c in cells[:depth]) + str(d), ok)
+            if ok:
+                grid[i] = d
+                if dfs(depth + 1):
+                    nodes += digits.index(d) + 1
+                    return True
+                grid[i] = 0
+        nodes += len(digits)
+        return False
+
+    dfs(0)
+    return solutions, nodes
 
 
 def weighted_draw(weights, rng):

@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+from sudokulab import backtracking
 from sudokulab.backtracking import enumerate_solutions, order_cells, solve
-from sudokulab.board import cell_ref, clues_respected, is_solved, parse_puzzle
+from sudokulab.bench import load_suite
+from sudokulab.board import PuzzleError, cell_ref, clues_respected, is_solved, parse_puzzle, violation_cost
+from sudokulab.datasets import suite_path
 
-from oracles import search_head, solve_all, unit_scan_solved
+from oracles import peer_scan_search, search_head, solve_all, unit_scan_solved
 
 EMPTY = (0,) * 81
 EMPTY_MASK = (False,) * 81
@@ -93,6 +96,38 @@ class TestEnumerate:
             theirs = solve_all(board, cap=5000)
             assert len(ours) < 5000 and len(theirs) < 5000
             assert set(ours) == set(theirs)
+
+
+class TestClueConflict:
+    def test_full_board_with_repeated_digit_raises(self, sample_solution):
+        # every cell a clue, (1,1) repeating the digit at (1,2): nothing is
+        # left to search, and the board is not a solution
+        board = (sample_solution[1],) + sample_solution[1:]
+        assert violation_cost(board) == 3
+        with pytest.raises(PuzzleError, match="clue conflict"):
+            solve(board, (True,) * 81)
+        with pytest.raises(PuzzleError, match="clue conflict"):
+            enumerate_solutions(board, (True,) * 81, cap=2)
+
+
+class TestPeerScanOracle:
+    """The unit-mask search against the peer-scan search it replaced."""
+
+    def test_solutions_and_attempts(self, sample, unsat_puzzle, easy_suite, medium_suite):
+        hard = load_suite(suite_path("hard"), "hard").puzzles
+        boards = [sample[0], unsat_puzzle[0]]
+        boards += [b for suite in (easy_suite, medium_suite) for _, b, _ in suite.puzzles]
+        boards += [hard[1][1], hard[4][1]]
+        for board in boards:
+            for cap in (1, 2):
+                assert backtracking._search(board, cap, None) == peer_scan_search(board, cap)
+
+    def test_trace_events(self, sample, easy_suite):
+        for board, mask in (sample, easy_suite.puzzles[0][1:]):
+            ours, theirs = [], []
+            enumerate_solutions(board, mask, cap=2, trace=lambda p, ok: ours.append((p, ok)))
+            peer_scan_search(board, 2, lambda p, ok: theirs.append((p, ok)))
+            assert ours == theirs and len(ours) > 100
 
 
 class TestTrace:
