@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
 """Run the benchmark and write its results as one JSON record.
 
-    python3 scripts/bench_json.py --seeds 11 12 13 --out BENCH_n.json \\
-        [--pair PARENT] [--workloads exact anneal project] [--seconds 30]
+    python3 scripts/bench_json.py --pair PARENT --seeds 11 12 13 --out BENCH_n.json
 
-Every run is ``benchmark/run.py`` in a subprocess, and its last line of
-standard output, a JSON object, is all this script reads from it.
+Every run is ``benchmark/run.py`` in a subprocess, for ``BENCHMARK.json``'s
+``run_seconds``, and its last line of standard output, a JSON object, is all
+this script reads from it.
 
-Without ``--pair`` the record holds this checkout alone.  With
-``--pair PARENT`` the script checks PARENT out into a ``git worktree`` under
-a temporary directory and runs the parent's checkout and this one in turn
-for each seed and workload, swapping which goes first from one pair to the
-next, so the machine's drifting speed falls on both sides alike.
+The script checks PARENT out into a ``git worktree`` under a temporary
+directory and runs the parent's checkout and this one in turn for each seed
+and every workload in ``BENCHMARK.json``, swapping which goes first from one
+pair to the next, so the machine's drifting speed falls on both sides alike.
 
 Per workload and end-to-end metric the record holds each side's runs,
 median and quartiles (``statistics.quantiles(n=4)``), the pairs the change
@@ -41,7 +40,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 BOUNDS = {m["name"]: m for m in SPEC["end_to_end"]}
-ALL_WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+SECONDS = SPEC["run_seconds"]
 
 
 def git(root: Path, *args: str) -> str:
@@ -49,10 +49,10 @@ def git(root: Path, *args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def bench(side: str, root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def bench(side: str, root: Path, workload: str, seed: int, trace: int) -> dict:
     """One ``benchmark/run.py`` run in ``root``: its final JSON line."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -64,16 +64,16 @@ def bench(side: str, root: Path, workload: str, seed: int, seconds: float, trace
     return result
 
 
-def describe(side: str, root: Path, workloads: list[str], seeds: list[int], seconds: float) -> dict:
+def describe(side: str, root: Path, seed: int) -> dict:
     """Commit, size, work digest and traced per-layer metrics of one checkout."""
-    work = subprocess.run([sys.executable, "benchmark/work_counts.py", *ALL_WORKLOADS],
+    work = subprocess.run([sys.executable, "benchmark/work_counts.py", *WORKLOADS],
                           cwd=root, check=True, capture_output=True).stdout
     return {
         "commit": git(root, "rev-parse", "HEAD"),
         "uncommitted_changes": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
         "src_lines": sum(len(p.read_bytes().splitlines()) for p in (root / "src").rglob("*.py")),
         "work_counts_sha256": hashlib.sha256(work).hexdigest(),
-        "traced": {w: bench(side, root, w, seeds[0], seconds, 1) for w in workloads},
+        "traced": {w: bench(side, root, w, seed, 1) for w in WORKLOADS},
     }
 
 
@@ -121,59 +121,42 @@ def cpu_model() -> str:
     return platform.processor()
 
 
-def record(args: argparse.Namespace, parent_root: Path | None) -> dict:
-    sides = {"change": ROOT} if parent_root is None else {"parent": parent_root, "change": ROOT}
-    runs: dict = {w: {side: [] for side in sides} for w in args.workloads}
+def record(args: argparse.Namespace, parent_root: Path) -> dict:
+    sides = {"parent": parent_root, "change": ROOT}
+    runs: dict = {w: {side: [] for side in sides} for w in WORKLOADS}
     for k, seed in enumerate(args.seeds):
-        for j, w in enumerate(args.workloads):
+        for j, w in enumerate(WORKLOADS):
             order = list(sides) if (k + j) % 2 == 0 else list(sides)[::-1]
             for side in order:
-                runs[w][side].append(bench(side, sides[side], w, seed, args.seconds, 0))
-    info = {side: describe(side, root, args.workloads, args.seeds, args.seconds)
-            for side, root in sides.items()}
-    workloads = {}
-    for w, by_side in runs.items():
-        entry = {"failures": {side: failures(r) for side, r in by_side.items()}}
-        if parent_root is None:
-            entry["end_to_end"] = {name: spread([r["metrics"][name]["value"] for r in by_side["change"]])
-                                   for name in BOUNDS}
-        else:
-            entry["end_to_end"] = compare(by_side["parent"], by_side["change"])
-        workloads[w] = entry
-    out = {
+                runs[w][side].append(bench(side, sides[side], w, seed, 0))
+    info = {side: describe(side, root, args.seeds[0]) for side, root in sides.items()}
+    return {
         "env": {"python": platform.python_version(), "numpy": metadata.version("numpy"),
                 "cpu_count": os.cpu_count(), "cpu": cpu_model(),
                 "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())},
-        "settings": {"seeds": args.seeds, "seconds": args.seconds, "pair": args.pair},
+        "settings": {"seeds": args.seeds, "seconds": SECONDS, "pair": args.pair},
         "sides": info,
-        "workloads": workloads,
+        "workloads": {w: {"failures": {side: failures(r) for side, r in by_side.items()},
+                          "end_to_end": compare(by_side["parent"], by_side["change"])}
+                      for w, by_side in runs.items()},
+        "work_unchanged": info["parent"]["work_counts_sha256"] == info["change"]["work_counts_sha256"],
     }
-    if parent_root is not None:
-        out["work_unchanged"] = (info["parent"]["work_counts_sha256"]
-                                 == info["change"]["work_counts_sha256"])
-    return out
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", type=int, nargs="+", required=True, help="one run (or pair) per seed")
+    ap.add_argument("--pair", metavar="PARENT", required=True,
+                    help="commit to run alternately against this checkout")
+    ap.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair of runs per seed")
     ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
-    ap.add_argument("--pair", metavar="PARENT", help="commit to run alternately against this checkout")
-    ap.add_argument("--workloads", nargs="+", choices=ALL_WORKLOADS, default=ALL_WORKLOADS)
-    ap.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     args = ap.parse_args()
-    if args.seconds <= 0:
-        ap.error("--seconds must be positive")
-    if args.pair is None:
-        result = record(args, None)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            parent_root = Path(tmp) / "parent"
-            git(ROOT, "worktree", "add", "--detach", str(parent_root), args.pair)
-            try:
-                result = record(args, parent_root)
-            finally:
-                git(ROOT, "worktree", "remove", "--force", str(parent_root))
+    with tempfile.TemporaryDirectory() as tmp:
+        parent_root = Path(tmp) / "parent"
+        git(ROOT, "worktree", "add", "--detach", str(parent_root), args.pair)
+        try:
+            result = record(args, parent_root)
+        finally:
+            git(ROOT, "worktree", "remove", "--force", str(parent_root))
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

@@ -72,10 +72,10 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
         raise ValueError("cap must be >= 1")
     used = [0] * 27  # per unit, bit d set while digit d is in it; empties set bit 0, never read
     for i, d in enumerate(board):
-        if d and any(used[u] >> d & 1 for u in CELL_UNITS[i]):
+        u0, u1, u2 = CELL_UNITS[i]
+        if d and (used[u0] | used[u1] | used[u2]) >> d & 1:
             raise PuzzleError(f"clue conflict: digit {d} repeated in a unit of cell {cell_ref(i)}")
-        for u in CELL_UNITS[i]:
-            used[u] |= 1 << d
+        used[u0], used[u1], used[u2] = used[u0] | 1 << d, used[u1] | 1 << d, used[u2] | 1 << d
     order = order_cells(board)
     cells = [cell_index(r, c) for r, c in order.cells]
     lists = order.lists
@@ -91,12 +91,13 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
             return len(solutions) >= cap
         i = cells[depth]
         u0, u1, u2 = CELL_UNITS[i]
+        taken = used[u0] | used[u1] | used[u2]  # placements below are undone or end the search
         digits = lists[depth]
         # attempts are counted once per call: all of its digits, or those
         # up to the one whose subtree ended the search
         for d in digits:
             bit = 1 << d
-            ok = not (used[u0] | used[u1] | used[u2]) & bit
+            ok = not taken & bit
             if trace is not None:
                 # the prefix is the digits placed so far, in search order
                 trace("".join(str(grid[c]) for c in cells[:depth]) + str(d), ok)
@@ -117,8 +118,7 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
 
 def solve(board: Board, clue_mask: ClueMask) -> SolveReport:
     """First solution (or failure) with a work count of placement attempts,
-    the calls a ``trace`` hook would receive.  Raises ``PuzzleError`` when
-    two filled cells of one unit hold the same digit."""
+    the calls a ``trace`` hook would receive.  Raises ``PuzzleError`` if a unit repeats a digit."""
     start = time.perf_counter()
     found, nodes = _search(board, 1, None)
     elapsed = time.perf_counter() - start
