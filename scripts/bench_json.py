@@ -7,10 +7,11 @@ Every run is ``benchmark/run.py`` in a subprocess, for ``BENCHMARK.json``'s
 ``run_seconds``, and its last line of standard output, a JSON object, is all
 this script reads from it.
 
-The script checks PARENT out into a ``git worktree`` under a temporary
-directory and runs the parent's checkout and this one in turn for each seed
-and every workload in ``BENCHMARK.json``, swapping which goes first from one
-pair to the next, so the machine's drifting speed falls on both sides alike.
+The script exports PARENT's tracked files with ``git archive`` into a
+temporary directory and runs that copy and this checkout in turn for each
+seed and every workload in ``BENCHMARK.json``, swapping which goes first
+from one pair to the next, so the machine's drifting speed falls on both
+sides alike.
 
 Per workload and end-to-end metric the record holds each side's runs,
 median and quartiles (``statistics.quantiles(n=4)``), the pairs the change
@@ -19,8 +20,10 @@ and whether the change's median is worse than the parent's by more than the
 metric's bound in ``BENCHMARK.json``.  Per side it holds one traced run per
 workload (per-layer metrics, on the first seed), the sha256 of the
 ``benchmark/work_counts.py`` output for every workload (equal on both sides
-when the work and boards are unchanged), the ``src/`` line count and the git
-commit; once, the Python and numpy versions and the CPU.
+when the work and boards are unchanged), the ``src/`` line count, the git
+commit, and the wall time and passed/skipped/failed counts of the tier-1
+tests run on that side's own ``src``; once, the Python and numpy versions
+and the CPU.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -64,14 +68,31 @@ def bench(side: str, root: Path, workload: str, seed: int, trace: int) -> dict:
     return result
 
 
-def describe(side: str, root: Path, seed: int) -> dict:
-    """Commit, size, work digest and traced per-layer metrics of one checkout."""
+def tier1(side: str, root: Path) -> dict:
+    """Wall time and outcome counts of the tier-1 tests of one checkout,
+    run on its own ``src``."""
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                          cwd=root, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    summary = (proc.stdout.strip().splitlines() or [""])[-1]
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|skipped|failed|error)", summary)}
+    print(f"  {side} tier-1: {summary}", file=sys.stderr)
+    return {"wall_s": wall, "summary": summary,
+            **{kind: counts.get(kind, 0) for kind in ("passed", "skipped", "failed", "error")}}
+
+
+def describe(side: str, root: Path, commit: str, uncommitted: bool, seed: int) -> dict:
+    """Commit, size, tier-1 outcome, work digest and traced per-layer
+    metrics of one checkout."""
     work = subprocess.run([sys.executable, "benchmark/work_counts.py", *WORKLOADS],
                           cwd=root, check=True, capture_output=True).stdout
     return {
-        "commit": git(root, "rev-parse", "HEAD"),
-        "uncommitted_changes": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
+        "commit": commit,
+        "uncommitted_changes": uncommitted,
         "src_lines": sum(len(p.read_bytes().splitlines()) for p in (root / "src").rglob("*.py")),
+        "tier1": tier1(side, root),
         "work_counts_sha256": hashlib.sha256(work).hexdigest(),
         "traced": {w: bench(side, root, w, seed, 1) for w in WORKLOADS},
     }
@@ -129,7 +150,12 @@ def record(args: argparse.Namespace, parent_root: Path) -> dict:
             order = list(sides) if (k + j) % 2 == 0 else list(sides)[::-1]
             for side in order:
                 runs[w][side].append(bench(side, sides[side], w, seed, 0))
-    info = {side: describe(side, root, args.seeds[0]) for side, root in sides.items()}
+    info = {
+        "parent": describe("parent", parent_root, git(ROOT, "rev-parse", f"{args.pair}^{{commit}}"),
+                           False, args.seeds[0]),
+        "change": describe("change", ROOT, git(ROOT, "rev-parse", "HEAD"),
+                           bool(git(ROOT, "status", "--porcelain", "--untracked-files=no")), args.seeds[0]),
+    }
     return {
         "env": {"python": platform.python_version(), "numpy": metadata.version("numpy"),
                 "cpu_count": os.cpu_count(), "cpu": cpu_model(),
@@ -151,12 +177,10 @@ def main() -> int:
     ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        parent_root = Path(tmp) / "parent"
-        git(ROOT, "worktree", "add", "--detach", str(parent_root), args.pair)
-        try:
-            result = record(args, parent_root)
-        finally:
-            git(ROOT, "worktree", "remove", "--force", str(parent_root))
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.pair],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        result = record(args, Path(tmp))
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

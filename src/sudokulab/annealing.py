@@ -23,7 +23,7 @@ from .board import (
     CELL_UNITS,
     ClueMask,
     UNITS,
-    digit_histogram,
+    unit_masks,
     violation_cost,
 )
 from .report import SolveReport
@@ -94,13 +94,11 @@ class AnnealState:
 
 
 def initial_board(puzzle: Board, clue_mask: ClueMask, rng: random.Random) -> Board:
-    """Fill the empty cells with a random permutation of the digits still
-    needed to give every digit exactly nine occurrences."""
-    hist = digit_histogram(puzzle[i] for i in range(81) if clue_mask[i])
-    for d, count in enumerate(hist, start=1):
-        if count > 9:
-            raise ValueError(f"digit {d} appears {count} times among clues")
-    pool = [d for d, count in enumerate(hist, start=1) for _ in range(9 - count)]
+    """Fill the empty cells with a random permutation of the digits missing
+    from each row's clues, which gives every digit exactly nine occurrences.
+    Raises ``PuzzleError`` when the clues repeat a digit in a unit."""
+    rows = unit_masks(tuple(d if c else 0 for d, c in zip(puzzle, clue_mask)))[:9]
+    pool = [d for d in range(1, 10) for used in rows if not used >> d & 1]
     rng.shuffle(pool)
     filled = list(puzzle)
     pos = 0
@@ -153,8 +151,8 @@ def anneal(
     max_iters, reset_at = cfg.max_iterations, cfg.reset_at
     nfree = len(free)
     if nfree < 2:
-        # the clues conflict and no swap can move: the distinct second
-        # draw below would never end
+        # no swap can move, and the distinct second draw below would never
+        # end: a clue mask that marks an empty cell passes the clue check
         raise ValueError("need at least two non-clue cells to propose a swap")
 
     reset_base = 0

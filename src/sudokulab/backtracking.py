@@ -18,10 +18,10 @@ from .board import (
     Board,
     CellRef,
     ClueMask,
-    PuzzleError,
     candidates,
     cell_index,
     cell_ref,
+    unit_masks,
 )
 from .report import SolveReport
 
@@ -70,12 +70,7 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
     """Up to ``cap`` solutions and the number of placement attempts made."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    used = [0] * 27  # per unit, bit d set while digit d is in it; empties set bit 0, never read
-    for i, d in enumerate(board):
-        u0, u1, u2 = CELL_UNITS[i]
-        if d and (used[u0] | used[u1] | used[u2]) >> d & 1:
-            raise PuzzleError(f"clue conflict: digit {d} repeated in a unit of cell {cell_ref(i)}")
-        used[u0], used[u1], used[u2] = used[u0] | 1 << d, used[u1] | 1 << d, used[u2] | 1 << d
+    used = unit_masks(board)  # per unit, bit d set while digit d is in it
     order = order_cells(board)
     cells = [cell_index(r, c) for r, c in order.cells]
     lists = order.lists
@@ -84,7 +79,7 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
     n = len(cells)
     nodes = 0
 
-    def dfs(depth: int) -> bool:
+    def dfs(depth: int, prefix: str) -> bool:
         nonlocal nodes
         if depth == n:
             solutions.append(tuple(grid))
@@ -93,18 +88,19 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
         u0, u1, u2 = CELL_UNITS[i]
         taken = used[u0] | used[u1] | used[u2]  # placements below are undone or end the search
         digits = lists[depth]
+        grown = prefix  # digits placed so far, in search order; grown only for a trace hook
         # attempts are counted once per call: all of its digits, or those
         # up to the one whose subtree ended the search
         for d in digits:
             bit = 1 << d
             ok = not taken & bit
             if trace is not None:
-                # the prefix is the digits placed so far, in search order
-                trace("".join(str(grid[c]) for c in cells[:depth]) + str(d), ok)
+                grown = prefix + str(d)
+                trace(grown, ok)
             if ok:
                 grid[i] = d
                 used[u0], used[u1], used[u2] = used[u0] | bit, used[u1] | bit, used[u2] | bit
-                if dfs(depth + 1):
+                if dfs(depth + 1, grown):
                     nodes += digits.index(d) + 1
                     return True
                 used[u0], used[u1], used[u2] = used[u0] ^ bit, used[u1] ^ bit, used[u2] ^ bit
@@ -112,7 +108,7 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
         nodes += len(digits)
         return False
 
-    dfs(0)
+    dfs(0, "")
     return solutions, nodes
 
 

@@ -104,6 +104,9 @@ def run_bench(
     is demoted to unsolved rather than trusted."""
     if not suite.puzzles or not methods:
         raise ValueError("suite and methods must be nonempty")
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
     acfg = anneal_config or annealing.AnnealConfig()
     configs = {"projection": projection_config}
     tasks = [

@@ -76,17 +76,25 @@ def parse_puzzle(text: str) -> tuple[Board, ClueMask]:
         else:
             raise PuzzleError(f"illegal character {ch!r} at index {pos}")
     board = tuple(cells)
-    for u, unit in enumerate(UNITS):
-        seen: set[int] = set()
-        for i in unit:
-            d = board[i]
-            if d == 0:
-                continue
-            if d in seen:
-                raise PuzzleError(f"inconsistent puzzle: digit {d} repeated in unit {u}")
-            seen.add(d)
+    unit_masks(board)
     mask = tuple(d != 0 for d in board)
     return board, mask
+
+
+def unit_masks(board: Board) -> list[int]:
+    """The 27 unit masks of a board, bit d of mask u set when a filled cell
+    of unit u holds digit d.  The one clue check: raises ``PuzzleError``
+    when a unit repeats a digit."""
+    used = [0] * 27
+    for i, d in enumerate(board):
+        if d:
+            u0, u1, u2 = CELL_UNITS[i]
+            bit = 1 << d
+            if (used[u0] | used[u1] | used[u2]) & bit:
+                raise PuzzleError("inconsistent puzzle (clue conflict): "
+                                  f"digit {d} repeated in a unit of cell {cell_ref(i)}")
+            used[u0], used[u1], used[u2] = used[u0] | bit, used[u1] | bit, used[u2] | bit
+    return used
 
 
 def render_board(board: Board, style: str = "grid") -> str:

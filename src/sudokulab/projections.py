@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .board import Board, ClueMask, PuzzleError, is_solved, violation_cost
+from .board import UNITS, Board, ClueMask, is_solved, unit_masks, violation_cost
 from .report import SolveReport
 
 FREE = 0
@@ -115,16 +115,14 @@ _FAMILIES = ("row", "column", "subgrid", "cell")
 def _slice_tables() -> tuple[np.ndarray, np.ndarray]:
     """The (324, 9) flat indices of the constraint slices in the fixed sweep
     order, and the (729, 4) ids of the row, column, subgrid and cell slice
-    through each entry.  Slice ids run 81 per family: row (i,k), column
-    (j,k), subgrid (b,k) with b the block index, then cell (i,j); a slice
-    lists its members by j, by i, row-major in the block, and by k."""
-    i, j, k = np.indices((9, 9, 9)).reshape(3, 729)
-    slice_of = np.stack(
-        [i * 9 + k, 81 + j * 9 + k, 162 + (i // 3 * 3 + j // 3) * 9 + k, 243 + i * 9 + j], axis=1
-    )
-    position = np.stack([j, i, i % 3 * 3 + j % 3, k], axis=1)
-    members = np.empty((324, 9), dtype=np.intp)
-    members[slice_of, position] = np.arange(729)[:, None]
+    through each entry.  Slice u * 9 + k is digit k over ``board.UNITS[u]``,
+    in its order, so rows, columns and subgrids come 81 each as the units
+    do; slice 243 + c lists the nine digits of cell c."""
+    unit_digit = np.array(UNITS, dtype=np.intp)[:, None, :] * 9 + np.arange(9)[:, None]   # unit, digit, position
+    members = np.concatenate([unit_digit.reshape(243, 9), np.arange(729).reshape(81, 9)])
+    ids = np.arange(324)
+    slice_of = np.empty((729, 4), dtype=np.intp)
+    slice_of[members, ids[:, None] // 81] = ids[:, None]
     members.flags.writeable = slice_of.flags.writeable = False
     return members, slice_of
 
@@ -135,18 +133,17 @@ def build_constraint_plan(puzzle: Board, clue_mask: ClueMask) -> tuple[Probabili
 
     A clue k at (i,j) fixes p_ijk = 1 and zeroes the other members of the
     four slices through it: the other eight digits of the cell, and digit
-    k elsewhere in the row, the column and the subgrid.  Two clues on one
-    slice would force an entry to both 0 and 1.  A slice through a clue
-    is thereby voided, as no member is left free; surviving slices keep
-    only their free members.
+    k elsewhere in the row, the column and the subgrid.  A slice through a
+    clue is thereby voided, as no member is left free; surviving slices
+    keep only their free members.  Clues repeating a digit in a unit would
+    force an entry to both 0 and 1; ``board.unit_masks`` rejects them.
     """
+    unit_masks(tuple(d if c else 0 for d, c in zip(puzzle, clue_mask)))
     members, slice_of = _slice_tables()   # built on first use, not at import
     tensor = ProbabilityTensor.zeros()
     cells = np.flatnonzero(np.asarray(clue_mask, dtype=bool))
     ones = cells * 9 + np.asarray(puzzle, dtype=np.intp)[cells] - 1
     voided = slice_of[ones].reshape(-1)
-    if np.any(np.bincount(voided, minlength=len(members)) > 1):
-        raise PuzzleError("clue conflict: tensor entry forced to both 0 and 1")
     status = tensor.status.reshape(-1)
     status[members[voided]] = FIXED_ZERO
     status[ones] = FIXED_ONE

@@ -140,6 +140,19 @@ def weighted_pair(weights, rng):
     return a, b
 
 
+def unit_scan_digits(board):
+    """The filled digits of each unit, rows, then columns, then subgrids
+    in row-major block order, by scanning the coordinates."""
+    units = [[board[r * 9 + c] for c in range(9)] for r in range(9)]
+    units += [[board[r * 9 + c] for r in range(9)] for c in range(9)]
+    units += [
+        [board[(br + x) * 9 + bc + y] for x in range(3) for y in range(3)]
+        for br in (0, 3, 6)
+        for bc in (0, 3, 6)
+    ]
+    return [[d for d in unit if d] for unit in units]
+
+
 def unit_scan_solved(board) -> bool:
     """Full-board check by scanning all rows, columns, and subgrids."""
     if any(d == 0 for d in board):

@@ -143,6 +143,16 @@ class TestProposeSwap:
         with pytest.raises(ValueError):
             anneal(tuple(board), tuple(mask), AnnealConfig(max_iterations=10, reset_at=10))
 
+    def test_empty_cell_marked_as_clue_reaches_the_swap_guard(self):
+        # the clue check skips an empty cell even where the mask calls it a
+        # clue, so the one free cell left cannot move
+        board = list(_FULL)
+        board[0] = 0
+        mask = [True] * 81
+        mask[80] = False
+        with pytest.raises(ValueError, match="two non-clue cells"):
+            anneal(tuple(board), tuple(mask), AnnealConfig(max_iterations=10, reset_at=10))
+
     def test_uniform_on_violation_free_board(self, monkeypatch):
         # the nine cells holding 1 are free and conflict with nothing, so
         # every weight is exp(0); a clue repeated in its units keeps the

@@ -1,10 +1,13 @@
 import csv
+import re
 
 import pytest
 
 from sudokulab.annealing import AnnealConfig
 from sudokulab.bench import (
+    METHODS,
     BenchRecord,
+    PuzzleSuite,
     REPORTS_HEADER,
     STATS_HEADER,
     SummaryStats,
@@ -13,6 +16,7 @@ from sudokulab.bench import (
     format_stats_table,
     load_suite,
     run_bench,
+    solve,
     summarize,
 )
 from sudokulab.board import PuzzleError, clues_respected, is_solved, render_board
@@ -150,6 +154,14 @@ class TestRunBench:
         with pytest.raises(ValueError):
             run_bench(easy_suite, methods=())
 
+    def test_unknown_method_rejected_up_front(self, easy_suite, monkeypatch):
+        def no_run(args):
+            raise AssertionError("a run started before the methods were checked")
+
+        monkeypatch.setattr("sudokulab.bench._run_job", no_run)
+        with pytest.raises(ValueError, match="'bogus'"):
+            run_bench(_tiny(easy_suite), methods=("backtracking", "bogus"))
+
     def test_parallel_matches_serial(self, easy_suite):
         suite = _tiny(easy_suite)
         kwargs = dict(
@@ -161,6 +173,24 @@ class TestRunBench:
         assert [(r.puzzle_id, r.report.method, r.report.board) for r in serial] == [
             (r.puzzle_id, r.report.method, r.report.board) for r in parallel
         ]
+
+
+class TestClueConflict:
+    """Every method rejects a board whose clues repeat a digit in a unit,
+    with the one error of ``board.unit_masks``."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_same_error_for_every_method(self, method, sample):
+        board, _ = sample
+        assert board[1] == 5 and board[5] == 0
+        board = board[:5] + (5,) + board[6:]  # a second 5 in row 1, past the parser
+        mask = tuple(d != 0 for d in board)
+        message = "inconsistent puzzle (clue conflict): digit 5 repeated in a unit of cell (1, 6)"
+        with pytest.raises(PuzzleError, match=re.escape(message)):
+            solve(method, board, mask)
+        (record,) = run_bench(PuzzleSuite("conflict", ((0, board, mask),)), methods=(method,))
+        assert not record.report.solved
+        assert record.report.note == f"error: PuzzleError: {message}"
 
 
 def _record(suite, pid, method, solved, t):

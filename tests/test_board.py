@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sudokulab.board import (
     DIGITS,
@@ -15,11 +15,12 @@ from sudokulab.board import (
     is_solved,
     parse_puzzle,
     render_board,
+    unit_masks,
     violation_cost,
 )
 from sudokulab.datasets import SAMPLE_PUZZLE_LINE, TRAPPED_DUPLICATE_CELLS
 
-from oracles import solve_all, unit_scan_solved
+from oracles import solve_all, unit_scan_digits, unit_scan_solved
 
 _FULL_BOARD = solve_all((0,) * 81, cap=1)[0]
 
@@ -171,6 +172,20 @@ class TestCandidates:
             cands = candidates(board, (r, c))
             seen = {board[j] for unit in UNITS if i in unit for j in unit} - {0}
             assert not (cands & seen)
+
+
+class TestUnitMasks:
+    @given(st.dictionaries(st.integers(0, 80), st.integers(1, 9), max_size=30))
+    @example({0: 5, 10: 5})  # a repeat in subgrid 1 only
+    @example(dict(enumerate(_FULL_BOARD)))
+    def test_matches_set_scan(self, filled):
+        board = tuple(filled.get(i, 0) for i in range(81))
+        units = unit_scan_digits(board)
+        if any(len(set(u)) < len(u) for u in units):
+            with pytest.raises(PuzzleError, match="clue conflict"):
+                unit_masks(board)
+        else:
+            assert unit_masks(board) == [sum(1 << d for d in u) for u in units]
 
 
 class TestIsSolved:
