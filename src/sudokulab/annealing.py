@@ -23,7 +23,7 @@ from .board import (
     CELL_UNITS,
     ClueMask,
     UNITS,
-    unit_masks,
+    clue_unit_masks,
     violation_cost,
 )
 from .report import SolveReport
@@ -55,7 +55,6 @@ class AnnealConfig:
 @dataclass
 class AnnealState:
     board: list[int]
-    clue_mask: ClueMask
     cost: int
     temperature: float
     iteration: int
@@ -72,7 +71,6 @@ class AnnealState:
     ) -> "AnnealState":
         state = cls(
             board=list(board),
-            clue_mask=clue_mask,
             cost=violation_cost(board),
             temperature=config.initial_temperature,
             iteration=0,
@@ -96,8 +94,8 @@ class AnnealState:
 def initial_board(puzzle: Board, clue_mask: ClueMask, rng: random.Random) -> Board:
     """Fill the empty cells with a random permutation of the digits missing
     from each row's clues, which gives every digit exactly nine occurrences.
-    Raises ``PuzzleError`` when the clues repeat a digit in a unit."""
-    rows = unit_masks(tuple(d if c else 0 for d, c in zip(puzzle, clue_mask)))[:9]
+    Raises ``PuzzleError`` for a mask that ``clue_unit_masks`` rejects."""
+    rows = clue_unit_masks(puzzle, clue_mask)[:9]
     pool = [d for d in range(1, 10) for used in rows if not used >> d & 1]
     rng.shuffle(pool)
     filled = list(puzzle)
@@ -152,7 +150,7 @@ def anneal(
     nfree = len(free)
     if nfree < 2:
         # no swap can move, and the distinct second draw below would never
-        # end: a clue mask that marks an empty cell passes the clue check
+        # end; valid clues that leave fewer free cells are solved by the fill
         raise ValueError("need at least two non-clue cells to propose a swap")
 
     reset_base = 0

@@ -97,6 +97,15 @@ def unit_masks(board: Board) -> list[int]:
     return used
 
 
+def clue_unit_masks(puzzle: Board, clue_mask: ClueMask) -> list[int]:
+    """``unit_masks`` of the clue cells alone; also raises ``PuzzleError``
+    when the mask marks an empty cell as a clue."""
+    for i, c in enumerate(clue_mask):
+        if c and not puzzle[i]:
+            raise PuzzleError(f"clue mask marks the empty cell {cell_ref(i)} as a clue")
+    return unit_masks(tuple(d if c else 0 for d, c in zip(puzzle, clue_mask)))
+
+
 def render_board(board: Board, style: str = "grid") -> str:
     """Serialize a board; 'line' gives the 81-char form, 'grid' a 9-row block."""
     sym = ["." if d == 0 else str(d) for d in board]

@@ -21,22 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .board import UNITS, Board, ClueMask, is_solved, unit_masks, violation_cost
+from .board import UNITS, Board, ClueMask, clue_unit_masks, is_solved, violation_cost
 from .report import SolveReport
-
-FREE = 0
-FIXED_ZERO = 1
-FIXED_ONE = 2
-
-
-@dataclass
-class ProbabilityTensor:
-    values: np.ndarray   # (9,9,9) float64, [i-1, j-1, k-1]
-    status: np.ndarray   # (9,9,9) int8, FREE / FIXED_ZERO / FIXED_ONE
-
-    @classmethod
-    def zeros(cls) -> "ProbabilityTensor":
-        return cls(np.zeros((9, 9, 9)), np.zeros((9, 9, 9), dtype=np.int8))
 
 
 @dataclass(frozen=True)
@@ -127,44 +113,41 @@ def _slice_tables() -> tuple[np.ndarray, np.ndarray]:
     return members, slice_of
 
 
-def build_constraint_plan(puzzle: Board, clue_mask: ClueMask) -> tuple[ProbabilityTensor, ConstraintPlan]:
-    """Fix the tensor entries forced by each clue and drop the constraints
-    a clue satisfies outright.
+def build_constraint_plan(puzzle: Board, clue_mask: ClueMask) -> tuple[np.ndarray, ConstraintPlan]:
+    """The starting tensor, a (9, 9, 9) float64 array of p_ijk laid out
+    [i-1, j-1, k-1] with 1 at each clue's entry, and the constraint plan.
 
     A clue k at (i,j) fixes p_ijk = 1 and zeroes the other members of the
     four slices through it: the other eight digits of the cell, and digit
-    k elsewhere in the row, the column and the subgrid.  A slice through a
-    clue is thereby voided, as no member is left free; surviving slices
-    keep only their free members.  Clues repeating a digit in a unit would
-    force an entry to both 0 and 1; ``board.unit_masks`` rejects them.
+    k elsewhere in the row, the column and the subgrid.  Each slice through
+    a clue is voided; the others keep their free members, and the fixed
+    entries are those that no plan slice lists as free.  ``board.clue_unit_masks``
+    rejects a mask marking an empty cell and clues repeating a digit in a unit.
     """
-    unit_masks(tuple(d if c else 0 for d, c in zip(puzzle, clue_mask)))
+    clue_unit_masks(puzzle, clue_mask)
     members, slice_of = _slice_tables()   # built on first use, not at import
-    tensor = ProbabilityTensor.zeros()
     cells = np.flatnonzero(np.asarray(clue_mask, dtype=bool))
     ones = cells * 9 + np.asarray(puzzle, dtype=np.intp)[cells] - 1
-    voided = slice_of[ones].reshape(-1)
-    status = tensor.status.reshape(-1)
-    status[members[voided]] = FIXED_ZERO
-    status[ones] = FIXED_ONE
-    tensor.values.reshape(-1)[ones] = 1.0
+    tensor = np.zeros((9, 9, 9))
+    tensor.reshape(-1)[ones] = 1.0
+    fixed = np.zeros(729, dtype=bool)
+    fixed[members[slice_of[ones].reshape(-1)]] = True
 
-    free = status[members] == FREE
+    free = ~fixed[members]
     active = free.any(axis=1)
     families = []
     for f, kind in enumerate(_FAMILIES):
         rows = np.flatnonzero(active[81 * f : 81 * f + 81]) + 81 * f
         if rows.size:
             families.append(SliceFamily(kind, members[rows], free[rows]))
-    return tensor, ConstraintPlan(tuple(families), int(np.count_nonzero(status)))
+    return tensor, ConstraintPlan(tuple(families), int(np.count_nonzero(fixed)))
 
 
-def sweep(tensor: ProbabilityTensor, plan: ConstraintPlan) -> tuple[ProbabilityTensor, float]:
-    """Project every active slice once, one batched projection per family
-    in plan order; returns the tensor and the largest absolute entry
-    change of the sweep.  Fixed entries enter as absent (-inf) and are
-    written back unchanged."""
-    flat = tensor.values.reshape(-1)
+def sweep(tensor: np.ndarray, plan: ConstraintPlan) -> tuple[np.ndarray, float]:
+    """Project every active slice of the tensor once, in place, one batched
+    projection per family in plan order, the entries the plan fixes left
+    as they are; returns the tensor and the largest absolute entry change."""
+    flat = tensor.reshape(-1)
     max_change = 0.0
     for fam in plan.families:
         y = flat[fam.members]
@@ -176,10 +159,10 @@ def sweep(tensor: ProbabilityTensor, plan: ConstraintPlan) -> tuple[ProbabilityT
     return tensor, max_change
 
 
-def round_tensor(tensor: ProbabilityTensor) -> Board:
-    """Impute to each cell the digit of maximal probability; ties go to
-    the smallest digit."""
-    return tuple((np.argmax(tensor.values, axis=2) + 1).reshape(-1).tolist())
+def round_tensor(tensor: np.ndarray) -> Board:
+    """Impute to each cell (i, j) the digit k of maximal p_ijk in the
+    (9, 9, 9) tensor; ties go to the smallest digit."""
+    return tuple((np.argmax(tensor, axis=2) + 1).reshape(-1).tolist())
 
 
 def solve_by_projection(

@@ -8,7 +8,10 @@ import numpy as np
 
 from sudokulab.backtracking import order_cells
 from sudokulab.board import PEERS, cell_index
-from sudokulab.projections import FIXED_ONE, FIXED_ZERO, FREE, project_simplex
+from sudokulab.projections import project_simplex
+
+#: entry codes of ``reference_plan``'s status vector
+FREE, FIXED_ZERO, FIXED_ONE = 0, 1, 2
 
 
 def _free_digits(g, i):
@@ -243,10 +246,10 @@ def reference_plan(board, mask):
 
 
 def per_slice_sweep(tensor, plan):
-    """The sweep as one 1-d ``project_simplex`` call per active slice, on
-    its free entries, in plan order; returns the tensor and the largest
-    absolute entry change."""
-    flat = tensor.values.reshape(-1)
+    """The sweep of the (9, 9, 9) tensor as one 1-d ``project_simplex``
+    call per active slice, on its free entries, in plan order; returns the
+    tensor and the largest absolute entry change."""
+    flat = tensor.reshape(-1)
     max_change = 0.0
     for s in plan.slices:
         idx = np.asarray(s.free, dtype=np.intp)

@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import re
 import time
 
 import pytest
@@ -13,7 +14,14 @@ from sudokulab.annealing import (
     anneal,
     initial_board,
 )
-from sudokulab.board import cell_ref, cell_violation_degree, digit_histogram, is_solved, violation_cost
+from sudokulab.board import (
+    PuzzleError,
+    cell_ref,
+    cell_violation_degree,
+    digit_histogram,
+    is_solved,
+    violation_cost,
+)
 
 from oracles import solve_all, weighted_pair
 
@@ -143,15 +151,24 @@ class TestProposeSwap:
         with pytest.raises(ValueError):
             anneal(tuple(board), tuple(mask), AnnealConfig(max_iterations=10, reset_at=10))
 
-    def test_empty_cell_marked_as_clue_reaches_the_swap_guard(self):
-        # the clue check skips an empty cell even where the mask calls it a
-        # clue, so the one free cell left cannot move
+    def test_empty_cell_marked_as_clue_rejected(self):
         board = list(_FULL)
         board[0] = 0
         mask = [True] * 81
         mask[80] = False
-        with pytest.raises(ValueError, match="two non-clue cells"):
+        with pytest.raises(PuzzleError, match=re.escape("marks the empty cell (1, 1) as a clue")):
             anneal(tuple(board), tuple(mask), AnnealConfig(max_iterations=10, reset_at=10))
+
+    @pytest.mark.parametrize("free", [(), (80,)])
+    def test_swap_guard(self, monkeypatch, free):
+        # valid clues that leave fewer than two free cells are solved by the
+        # fill, so only a replaced fill reaches the guard on an unsolved board
+        monkeypatch.setattr(annealing, "initial_board", lambda puzzle, clue_mask, rng: puzzle)
+        board = list(_FULL)
+        board[80] = _FULL[80] % 9 + 1
+        mask = tuple(i not in free for i in range(81))
+        with pytest.raises(ValueError, match="two non-clue cells"):
+            anneal(tuple(board), mask, AnnealConfig(max_iterations=10, reset_at=10))
 
     def test_uniform_on_violation_free_board(self, monkeypatch):
         # the nine cells holding 1 are free and conflict with nothing, so
@@ -238,6 +255,39 @@ class TestProposal:
         report = anneal(board, mask, cfg, observer)
         assert report.work == 2_000
         assert moves > 1_000
+
+
+class TestMetropolis:
+    def test_live_loop_accepts_by_acceptance_probability(self, sample):
+        # replay each iteration from the previous call's generator state:
+        # the weighted pair, the swapped board's cost, then one uniform
+        # deviate against acceptance_probability at the temperature the
+        # iteration ran at; the next board and cost must follow from it
+        board, mask = sample
+        last = []  # (generator state, weights, board, cost) at the previous call
+        tally = {"uphill": 0, "rejected": 0}
+
+        def observer(state):
+            now = tuple(state.board)
+            if last:
+                rng_state, weights, before, cost = last.pop()
+                rng = random.Random()
+                rng.setstate(rng_state)
+                a, b = (state._free[s] for s in weighted_pair(weights, rng))
+                proposal = list(before)
+                proposal[a], proposal[b] = before[b], before[a]
+                proposed = violation_cost(tuple(proposal))
+                accept = rng.random() <= acceptance_probability(cost, proposed, state.temperature)
+                assert rng.getstate() == state.rng.getstate()
+                assert (now, state.cost) == ((tuple(proposal), proposed) if accept else (before, cost))
+                tally["uphill"] += accept and proposed > cost
+                tally["rejected"] += not accept
+            last.append((state.rng.getstate(), list(state._fw), now, state.cost))
+
+        cfg = AnnealConfig(initial_temperature=1.0, seed=3, max_iterations=5_000, reset_at=5_000)
+        report = anneal(board, mask, cfg, observer)
+        assert report.work == 5_000
+        assert tally["uphill"] > 50 and tally["rejected"] > 1_000, tally
 
 
 class TestAnneal:

@@ -192,6 +192,17 @@ class TestClueConflict:
         assert not record.report.solved
         assert record.report.note == f"error: PuzzleError: {message}"
 
+    @pytest.mark.parametrize("method, config", [
+        ("annealing", AnnealConfig(max_iterations=100, reset_at=100)),
+        ("projection", ProjectionConfig(max_sweeps=10)),
+    ], ids=["annealing", "projection"])
+    def test_empty_cell_marked_as_clue(self, method, config):
+        # backtracking never reads the mask, so it is not asked to check it
+        mask = (True,) + (False,) * 80
+        message = "clue mask marks the empty cell (1, 1) as a clue"
+        with pytest.raises(PuzzleError, match=re.escape(message)):
+            solve(method, (0,) * 81, mask, config)
+
 
 def _record(suite, pid, method, solved, t):
     return BenchRecord(suite, pid, SolveReport(method, solved, (0,) * 81, t, 1))

@@ -4,10 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from sudokulab.board import PuzzleError, is_solved, violation_cost
 from sudokulab.projections import (
-    FIXED_ONE,
-    FIXED_ZERO,
-    FREE,
-    ProbabilityTensor,
     ProjectionConfig,
     build_constraint_plan,
     project_simplex,
@@ -20,7 +16,7 @@ from sudokulab import projections
 from sudokulab.bench import load_suite
 from sudokulab.datasets import suite_path
 
-from oracles import brute_force_simplex, per_slice_sweep, reference_plan, solve_all
+from oracles import FIXED_ONE, FREE, brute_force_simplex, per_slice_sweep, reference_plan, solve_all
 
 _FULL = solve_all((0,) * 81, cap=1)[0]
 
@@ -33,12 +29,20 @@ def _bundled(name):
     return load_suite(suite_path(name), name).puzzles
 
 
-def _indicator(board) -> ProbabilityTensor:
-    t = ProbabilityTensor.zeros()
+def _indicator(board) -> np.ndarray:
+    t = np.zeros((9, 9, 9))
     for i in range(9):
         for j in range(9):
-            t.values[i, j, board[i * 9 + j] - 1] = 1.0
+            t[i, j, board[i * 9 + j] - 1] = 1.0
     return t
+
+
+def _fixed(plan) -> np.ndarray:
+    """Flat mask of the entries that no active slice of the plan lists as free."""
+    fixed = np.ones(729, dtype=bool)
+    for s in plan.slices:
+        fixed[list(s.free)] = False
+    return fixed
 
 
 class TestSimplex:
@@ -133,7 +137,9 @@ class TestConstraintPlan:
         assert all(len(s.free) == 9 for s in plan.slices)
         assert [s.kind for s in plan.slices[:81]] == ["row"] * 81
         assert plan.slices[-1].kind == "cell"
-        assert np.count_nonzero(tensor.values) == 0
+        assert tensor.shape == (9, 9, 9) and tensor.dtype == np.float64
+        assert np.count_nonzero(tensor) == 0
+        assert not _fixed(plan).any()
 
     def test_single_clue(self):
         board = [0] * 81
@@ -143,8 +149,10 @@ class TestConstraintPlan:
         tensor, plan = build_constraint_plan(tuple(board), tuple(mask))
         # one fixed one plus 8 + 8 + 8 + 4 fixed zeros
         assert plan.fixed_count == 29
-        assert int(np.sum(tensor.status.reshape(-1) == FIXED_ONE)) == 1
-        assert int(np.sum(tensor.status.reshape(-1) == FIXED_ZERO)) == 28
+        assert np.flatnonzero(tensor).tolist() == [4]
+        assert tensor[0, 0, 4] == 1.0
+        fixed = _fixed(plan)
+        assert fixed[4] and np.count_nonzero(fixed) == 29
         # the four slices through the fixed one are voided
         assert len(plan.slices) == 320
 
@@ -152,7 +160,8 @@ class TestConstraintPlan:
         tensor, plan = build_constraint_plan(_FULL, (True,) * 81)
         assert plan.fixed_count == 729
         assert plan.slices == ()
-        assert np.array_equal(tensor.values, _indicator(_FULL).values)
+        assert np.array_equal(tensor, _indicator(_FULL))
+        assert _fixed(plan).all()
 
     def test_conflicting_clues(self):
         board = [0] * 81
@@ -167,15 +176,15 @@ class TestConstraintPlan:
         for _, board, mask in _bundled(suite):
             tensor, plan = build_constraint_plan(board, mask)
             status, active = reference_plan(board, mask)
-            assert np.array_equal(tensor.status.reshape(-1), status)
-            assert np.array_equal(tensor.values.reshape(-1), (status == FIXED_ONE) * 1.0)
+            assert np.array_equal(_fixed(plan), status != FREE)
+            assert np.array_equal(tensor.reshape(-1), (status == FIXED_ONE) * 1.0)
             assert plan.fixed_count == np.count_nonzero(status)
             assert [(s.kind, s.members, s.free) for s in plan.slices] == active
 
     def test_free_members_disjoint_from_fixed(self, sample):
         board, mask = sample
-        tensor, plan = build_constraint_plan(board, mask)
-        status = tensor.status.reshape(-1)
+        _, plan = build_constraint_plan(board, mask)
+        status, _ = reference_plan(board, mask)
         for s in plan.slices:
             assert all(status[m] == FREE for m in s.free)
             assert set(s.free) <= set(s.members)
@@ -195,28 +204,29 @@ class TestSweep:
         # the first row slice moves each entry from 0 to 1/9
         assert change > 0.0
         # every cell distribution was projected last, so it sums to one
-        assert np.allclose(tensor.values.sum(axis=2), 1.0)
+        assert np.allclose(tensor.sum(axis=2), 1.0)
 
     def test_fixed_entries_untouched(self, sample):
         board, mask = sample
         tensor, plan = build_constraint_plan(board, mask)
-        before = tensor.values.copy()
-        fixed = tensor.status != FREE
+        before = tensor.copy()
+        fixed = _fixed(plan).reshape(9, 9, 9)
+        assert np.count_nonzero(fixed) == plan.fixed_count > 0
         for _ in range(3):
             sweep(tensor, plan)
-        assert np.array_equal(tensor.values[fixed], before[fixed])
+        assert np.array_equal(tensor[fixed], before[fixed])
 
     @pytest.mark.parametrize("suite", ["easy", "medium", "hard"])
     def test_batched_equals_per_slice(self, suite):
         # bit-identical tensors and max_change, sweep by sweep
         for _, board, mask in _bundled(suite):
             tensor, plan = build_constraint_plan(board, mask)
-            ref = ProbabilityTensor(tensor.values.copy(), tensor.status)
+            ref = tensor.copy()
             for _ in range(25):
                 _, change = sweep(tensor, plan)
                 _, ref_change = per_slice_sweep(ref, plan)
                 assert change == ref_change
-                assert tensor.values.tobytes() == ref.values.tobytes()
+                assert tensor.tobytes() == ref.tobytes()
 
 
 class TestRoundTensor:
@@ -224,13 +234,13 @@ class TestRoundTensor:
         assert round_tensor(_indicator(_FULL)) == _FULL
 
     def test_tie_breaks_to_smallest_digit(self):
-        tensor = ProbabilityTensor.zeros()
-        tensor.values[0, 0, 3] = 0.5
-        tensor.values[0, 0, 6] = 0.5
+        tensor = np.zeros((9, 9, 9))
+        tensor[0, 0, 3] = 0.5
+        tensor[0, 0, 6] = 0.5
         assert round_tensor(tensor)[0] == 4
 
     def test_zero_tensor_rounds_to_ones(self):
-        assert round_tensor(ProbabilityTensor.zeros()) == (1,) * 81
+        assert round_tensor(np.zeros((9, 9, 9))) == (1,) * 81
 
 
 class TestConfig:
