@@ -166,7 +166,8 @@ def anneal(
             reset_base = n
         steps = n - reset_base
         if steps % period == 0:
-            temp = t0 * cool ** (steps // period)
+            # never 0.0: once the schedule underflows, every uphill move is rejected
+            temp = max(t0 * cool ** (steps // period), math.ulp(0.0))
 
         # weighted draws; the second repeats until distinct
         sa = bisect(cum, rnd() * total)

@@ -6,14 +6,10 @@ import csv
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 from . import annealing, backtracking
 from .board import Board, ClueMask, clues_respected, is_solved, parse_puzzle, PuzzleError
 from .report import SolveReport
-
-if TYPE_CHECKING:
-    from .projections import ProjectionConfig
 
 METHODS = ("backtracking", "annealing", "projection")
 
@@ -93,13 +89,11 @@ def _run_job(args) -> SolveReport:
 def run_bench(
     suite: PuzzleSuite,
     methods=METHODS,
-    anneal_config: annealing.AnnealConfig | None = None,
-    projection_config: ProjectionConfig | None = None,
     base_seed: int = 0,
     jobs: int = 1,
 ) -> list[BenchRecord]:
-    """One report per (puzzle, method).  Annealing runs are seeded with
-    base_seed + puzzle index so results do not depend on execution order.
+    """One report per (puzzle, method), each with its method's default config;
+    annealing is seeded with base_seed + puzzle index, whatever the run order.
     Every claimed solution is re-checked here; a board failing the check
     is demoted to unsolved rather than trusted."""
     if not suite.puzzles or not methods:
@@ -107,15 +101,13 @@ def run_bench(
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
-    acfg = anneal_config or annealing.AnnealConfig()
-    configs = {"projection": projection_config}
     tasks = [
         (pid, puzzle, mask, method)
         for method in methods
         for pid, puzzle, mask in suite.puzzles
     ]
     job_args = [
-        (p, m, meth, replace(acfg, seed=base_seed + pid) if meth == "annealing" else configs.get(meth))
+        (p, m, meth, annealing.AnnealConfig(seed=base_seed + pid) if meth == "annealing" else None)
         for pid, p, m, meth in tasks
     ]
     if jobs > 1:

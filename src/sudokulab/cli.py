@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 from . import annealing, backtracking, bench
 from .board import PuzzleError, parse_puzzle, render_board
@@ -109,7 +110,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    suite = bench.load_suite(args.suite, name="suite")
+    suite = bench.load_suite(args.suite, name=Path(args.suite).stem)
     records = bench.run_bench(
         suite, methods=methods, base_seed=args.base_seed, jobs=args.jobs
     )

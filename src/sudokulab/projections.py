@@ -9,9 +9,9 @@ slice in a fixed order: the row slices, then the columns, the subgrids
 and the cells.  The slices of one family are disjoint, so each family is
 projected as one batch, a stack of slices padded to 9 entries, which
 gives the same numbers as projecting its slices one after another.
-Clues fix variables to 0 or 1 up front and void the constraints they
-satisfy outright.  The relaxed fixed point is rounded to a board by
-imputing each cell's most probable digit.
+Clues fix variables to 0 or 1 up front and void every slice through
+them, so no active slice holds a clue's 1.  The relaxed fixed point is
+rounded to a board by imputing each cell's most probable digit.
 """
 from __future__ import annotations
 
@@ -145,17 +145,15 @@ def build_constraint_plan(puzzle: Board, clue_mask: ClueMask) -> tuple[np.ndarra
 
 def sweep(tensor: np.ndarray, plan: ConstraintPlan) -> tuple[np.ndarray, float]:
     """Project every active slice of the tensor once, in place, one batched
-    projection per family in plan order, the entries the plan fixes left
-    as they are; returns the tensor and the largest absolute entry change."""
+    projection per family in plan order, the fixed members going in as -inf
+    and back as the 0 they hold; returns it and the largest absolute change."""
     flat = tensor.reshape(-1)
     max_change = 0.0
     for fam in plan.families:
         y = flat[fam.members]
         x = project_simplex(np.where(fam.free, y, -np.inf))
-        change = float(np.max(np.abs(x - y), where=fam.free, initial=0.0))
-        if change > max_change:
-            max_change = change
-        flat[fam.members] = np.where(fam.free, x, y)
+        max_change = max(max_change, float(np.max(np.abs(x - y))))
+        flat[fam.members] = x
     return tensor, max_change
 
 

@@ -353,6 +353,24 @@ class TestAnneal:
             n = iteration - 1  # temperature used by that proposal
             assert temp == 200.0 * 0.99 ** (n // 50)
 
+    def test_temperature_floored_when_schedule_underflows(self, unsat_puzzle):
+        # 200 * 0.5 ** k is 0.0 from k = 1075 on; the floor keeps every
+        # temperature positive, and at the floor no uphill move is accepted
+        board, mask = unsat_puzzle
+        cfg = AnnealConfig(cooling_factor=0.5, cooling_period=1, max_iterations=5_000, reset_at=5_000)
+        seen = []
+
+        def observer(state):
+            seen.append((state.temperature, state.cost))
+
+        report = anneal(board, mask, cfg, observer)
+        assert not report.solved and report.work == len(seen) == 5_000
+        assert all(temp > 0 for temp, _ in seen)
+        floor = [temp for temp, _ in seen].index(math.ulp(0.0))
+        assert floor == 1_075
+        costs = [cost for _, cost in seen[floor:]]
+        assert all(later <= earlier for earlier, later in zip(costs, costs[1:]))
+
     def test_temperature_reset(self, unsat_puzzle):
         board, mask = unsat_puzzle
         cfg = AnnealConfig(seed=0, max_iterations=12_000, reset_at=10_000)

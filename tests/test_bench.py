@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from sudokulab.annealing import AnnealConfig
+from sudokulab.annealing import AnnealConfig, anneal
 from sudokulab.bench import (
     METHODS,
     BenchRecord,
@@ -22,8 +22,6 @@ from sudokulab.bench import (
 from sudokulab.board import PuzzleError, clues_respected, is_solved, render_board
 from sudokulab.projections import ProjectionConfig
 from sudokulab.report import SolveReport
-
-FAST_ANNEAL = AnnealConfig(max_iterations=120_000, reset_at=100_000)
 
 
 def _write_suite(path, puzzles):
@@ -56,22 +54,20 @@ class TestLoadSuite:
 
 
 def _tiny(easy_suite):
-    from sudokulab.bench import PuzzleSuite
-
     return PuzzleSuite("tiny", easy_suite.puzzles[:3])
 
 
 class TestRunBench:
     def test_one_record_per_pair(self, easy_suite):
         suite = _tiny(easy_suite)
-        records = run_bench(suite, anneal_config=FAST_ANNEAL)
+        records = run_bench(suite)
         assert len(records) == 9
         pairs = {(r.report.method, r.puzzle_id) for r in records}
         assert len(pairs) == 9
 
     def test_solutions_verified(self, easy_suite):
         suite = _tiny(easy_suite)
-        for rec in run_bench(suite, anneal_config=FAST_ANNEAL):
+        for rec in run_bench(suite):
             _, puzzle, mask = suite.puzzles[rec.puzzle_id]
             if rec.report.solved:
                 assert is_solved(rec.report.board)
@@ -81,20 +77,17 @@ class TestRunBench:
         suite = _tiny(easy_suite)
 
         def boards():
-            recs = run_bench(suite, methods=("annealing",), anneal_config=FAST_ANNEAL, base_seed=5)
+            recs = run_bench(suite, methods=("annealing",), base_seed=5)
             return [(r.puzzle_id, r.report.board, r.report.work) for r in recs]
 
         assert boards() == boards()
 
     def test_seed_offsets_by_puzzle_index(self, easy_suite):
         suite = _tiny(easy_suite)
-        recs = run_bench(suite, methods=("annealing",), anneal_config=FAST_ANNEAL, base_seed=7)
-        from sudokulab.annealing import anneal
-        from dataclasses import replace
-
+        recs = run_bench(suite, methods=("annealing",), base_seed=7)
         for rec in recs:
             _, puzzle, mask = suite.puzzles[rec.puzzle_id]
-            direct = anneal(puzzle, mask, replace(FAST_ANNEAL, seed=7 + rec.puzzle_id))
+            direct = anneal(puzzle, mask, AnnealConfig(seed=7 + rec.puzzle_id))
             assert rec.report.board == direct.board
 
     def test_recheck_demotes_bad_claims(self, easy_suite, monkeypatch, tmp_path):
@@ -147,8 +140,6 @@ class TestRunBench:
         assert notes == [error] * n + [""] * n
 
     def test_empty_inputs_rejected(self, easy_suite):
-        from sudokulab.bench import PuzzleSuite
-
         with pytest.raises(ValueError):
             run_bench(PuzzleSuite("empty", ()))
         with pytest.raises(ValueError):
@@ -164,12 +155,9 @@ class TestRunBench:
 
     def test_parallel_matches_serial(self, easy_suite):
         suite = _tiny(easy_suite)
-        kwargs = dict(
-            methods=("backtracking", "projection"),
-            projection_config=ProjectionConfig(max_sweeps=200),
-        )
-        serial = run_bench(suite, jobs=1, **kwargs)
-        parallel = run_bench(suite, jobs=2, **kwargs)
+        methods = ("backtracking", "projection")
+        serial = run_bench(suite, methods=methods, jobs=1)
+        parallel = run_bench(suite, methods=methods, jobs=2)
         assert [(r.puzzle_id, r.report.method, r.report.board) for r in serial] == [
             (r.puzzle_id, r.report.method, r.report.board) for r in parallel
         ]
@@ -249,7 +237,7 @@ class TestSummarize:
 
     def test_ordering_invariants(self, easy_suite):
         suite = _tiny(easy_suite)
-        records = run_bench(suite, anneal_config=FAST_ANNEAL)
+        records = run_bench(suite)
         for s in summarize(records):
             if s.time_min is None:
                 continue

@@ -8,6 +8,7 @@ import pytest
 
 import sudokulab
 from sudokulab.annealing import AnnealConfig
+from sudokulab.bench import load_suite
 from sudokulab.board import is_solved, parse_puzzle, render_board
 from sudokulab.cli import run_cli
 from sudokulab.datasets import SAMPLE_PUZZLE_LINE, suite_path
@@ -65,6 +66,18 @@ class TestSolve:
         assert code == 1
         assert captured.out == ""
         assert "failed" in captured.err
+
+    def test_underflowed_temperature_exits_1(self, capsys):
+        # at --cool 0.5 --period 1 the schedule reaches 0.0 at iteration 1,075
+        hard = load_suite(suite_path("hard"), "hard")
+        line = render_board(hard.puzzles[0][1], "line")
+        argv = ["solve", "--method", "annealing", "--cool", "0.5", "--period", "1",
+                "--max-iters", "5000", line]
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("annealing failed after 5000 steps")
+        assert "Traceback" not in captured.err
 
     def test_bad_puzzle_exits_2(self, capsys):
         code = run_cli(["solve", "--method", "backtracking", "X" * 81])
@@ -177,6 +190,19 @@ class TestBench:
             stats = list(csv.DictReader(fh))
         assert {s["method"] for s in stats} == {"backtracking", "projection"}
         assert all(s["success_rate"] == "1.000000" for s in stats)
+
+    def test_suite_named_after_its_file(self, tmp_path, capsys, easy_suite):
+        suite = tmp_path / "picked.txt"
+        suite.write_text(_suite_line(easy_suite) + "\n")
+        reports_csv = tmp_path / "runs.csv"
+        stats_csv = tmp_path / "stats.csv"
+        code = run_cli(["bench", "--suite", str(suite), "--methods", "backtracking",
+                        "--csv", str(reports_csv), "--stats-csv", str(stats_csv)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[0] == "picked"
+        for path in (reports_csv, stats_csv):
+            with open(path, newline="") as fh:
+                assert [row["suite"] for row in csv.DictReader(fh)] == ["picked"]
 
     def test_bundled_suite_runs(self, capsys):
         code = run_cli(

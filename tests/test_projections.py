@@ -181,6 +181,19 @@ class TestConstraintPlan:
             assert plan.fixed_count == np.count_nonzero(status)
             assert [(s.kind, s.members, s.free) for s in plan.slices] == active
 
+    def test_active_slices_hold_no_clue_one(self, sample):
+        # sweep writes each family's projection back whole, which returns
+        # the non-free members as 0.0: they must hold 0.0 to begin with
+        single = (5,) + (0,) * 80, (True,) + (False,) * 80
+        puzzles = [(b, m) for name in ("easy", "medium", "hard") for _, b, m in _bundled(name)]
+        for board, mask in puzzles + [sample, single]:
+            tensor, plan = build_constraint_plan(board, mask)
+            flat = tensor.reshape(-1)
+            clue_ones = {i * 9 + board[i] - 1 for i in range(81) if mask[i]}
+            for fam in plan.families:
+                assert np.all(flat[fam.members[~fam.free]] == 0.0)
+                assert clue_ones.isdisjoint(fam.members.reshape(-1).tolist())
+
     def test_free_members_disjoint_from_fixed(self, sample):
         board, mask = sample
         _, plan = build_constraint_plan(board, mask)
