@@ -197,11 +197,12 @@ def export_stats_csv(stats: list[SummaryStats], path) -> None:
 
 
 def format_stats_table(stats: list[SummaryStats]) -> str:
-    header = f"{'suite':<10} {'method':<13} {'success':>8} {'min_s':>10} {'median_s':>10} {'mean_s':>10} {'max_s':>10}"
+    w = max([10] + [len(s.suite) for s in stats])   # a suite is named after its file
+    header = f"{'suite':<{w}} {'method':<13} {'success':>8} {'min_s':>10} {'median_s':>10} {'mean_s':>10} {'max_s':>10}"
     lines = [header]
     for s in stats:
         lines.append(
-            f"{s.suite:<10} {s.method:<13} {s.success_rate:>8.2f} "
+            f"{s.suite:<{w}} {s.method:<13} {s.success_rate:>8.2f} "
             f"{_fmt(s.time_min) or '-':>10} {_fmt(s.time_median) or '-':>10} "
             f"{_fmt(s.time_mean) or '-':>10} {_fmt(s.time_max) or '-':>10}"
         )

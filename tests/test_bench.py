@@ -296,3 +296,10 @@ def test_format_stats_table():
     assert lines[0].split() == ["suite", "method", "success", "min_s", "median_s", "mean_s", "max_s"]
     assert "annealing" in lines[1] and "0.100000" in lines[1]
     assert lines[2].split()[-1] == "-"
+
+
+def test_format_stats_table_fits_long_suite_names():
+    stats = [SummaryStats("suite_medium", "annealing", 1.0, 0.1, 0.2, 0.2, 0.3)]
+    header, row = format_stats_table(stats).splitlines()
+    assert row.startswith("suite_medium annealing")
+    assert len(header) == len(row)
