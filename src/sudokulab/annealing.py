@@ -59,7 +59,9 @@ class AnnealState:
     temperature: float
     iteration: int
     rng: random.Random
-    # caches kept consistent by the annealing loop
+    # caches kept consistent by the annealing loop; an accepted swap of da
+    # and db re-weighs only the free cells of the two cells' units that
+    # hold da or db, and the draw table is rebuilt from the lowest such slot
     _counts: list[list[int]] = field(repr=False, default_factory=list)  # 27 x 10 digit counts
     _free: list[int] = field(repr=False, default_factory=list)          # non-clue cell indices
     _fpos: list[int] = field(repr=False, default_factory=list)          # cell -> slot in _free, -1 for clues
@@ -134,7 +136,6 @@ def anneal(
 
     # local bindings for the hot loop
     board = state.board
-    counts = state._counts
     free = state._free
     fpos = state._fpos
     fw = state._fw
@@ -143,7 +144,6 @@ def anneal(
     accumulate = itertools.accumulate
     bisect = bisect_right
     cell_units = CELL_UNITS
-    units = UNITS
     exp_degree = _EXP_DEGREE
     t0, cool, period = cfg.initial_temperature, cfg.cooling_factor, cfg.cooling_period
     max_iters, reset_at = cfg.max_iterations, cfg.reset_at
@@ -152,6 +152,10 @@ def anneal(
         # no swap can move, and the distinct second draw below would never
         # end; valid clues that leave fewer free cells are solved by the fill
         raise ValueError("need at least two non-clue cells to propose a swap")
+    # per cell its three count rows; per unit its free cells as
+    # (slot, cell, row0, row1, row2)
+    rows_of = [tuple(state._counts[u] for u in cell_units[i]) for i in range(81)]
+    unit_free = [[(fpos[i], i, *rows_of[i]) for i in cells if fpos[i] >= 0] for cells in UNITS]
 
     reset_base = 0
     temp = t0
@@ -185,18 +189,16 @@ def anneal(
         if da == db:
             rnd()  # the uniform acceptance deviate; exp(0) = 1 always accepts
         else:
-            units_a, units_b = cell_units[a], cell_units[b]
+            rows_a, rows_b = rows_of[a], rows_of[b]
             delta = 0
-            for u in units_a:
-                row = counts[u]
+            for row in rows_a:
                 if row[da] == 1:
                     delta += 1
                 row[da] -= 1
                 if row[db] == 0:
                     delta -= 1
                 row[db] += 1
-            for u in units_b:
-                row = counts[u]
+            for row in rows_b:
                 if row[db] == 1:
                     delta += 1
                 row[db] -= 1
@@ -207,27 +209,30 @@ def anneal(
             if rnd() <= (1.0 if delta <= 0 else exp(-delta / temp)):
                 board[a], board[b] = db, da
                 cost += delta
-                for u in units_a + tuple(x for x in units_b if x not in units_a):
-                    for i in units[u]:
-                        slot = fpos[i]
-                        if slot >= 0:
-                            u0, u1, u2 = cell_units[i]
-                            d = board[i]
-                            fw[slot] = exp_degree[
-                                (counts[u0][d] >= 2)
-                                + (counts[u1][d] >= 2)
-                                + (counts[u2][d] >= 2)
-                            ]
-                cum = list(accumulate(fw))
-                total = cum[-1]
+                # only da's and db's counts moved, in the units of a and b, so
+                # only those units' cells holding da or db can re-weigh (a
+                # shared unit is visited twice, the second time to no effect)
+                lo = nfree
+                for u in cell_units[a] + cell_units[b]:
+                    for slot, i, r0, r1, r2 in unit_free[u]:
+                        d = board[i]
+                        if d == da or d == db:
+                            w = exp_degree[(r0[d] >= 2) + (r1[d] >= 2) + (r2[d] >= 2)]
+                            if w != fw[slot]:
+                                fw[slot] = w
+                                if slot < lo:
+                                    lo = slot
+                if lo < nfree:
+                    # accumulate adds left to right, so rebuilding from the
+                    # lowest changed slot gives the floats of a full rebuild
+                    cum[lo:] = accumulate(fw[lo + 1:], initial=cum[lo - 1] + fw[lo] if lo else fw[lo])
+                    total = cum[-1]
             else:
                 # revert the tentative count shift
-                for u in units_a:
-                    row = counts[u]
+                for row in rows_a:
                     row[db] -= 1
                     row[da] += 1
-                for u in units_b:
-                    row = counts[u]
+                for row in rows_b:
                     row[da] -= 1
                     row[db] += 1
 

@@ -75,15 +75,20 @@ def solve(method: str, puzzle: Board, mask: ClueMask, config=None) -> SolveRepor
     raise ValueError(f"unknown method {method!r}")
 
 
-def _run_job(args) -> SolveReport:
-    """One bench run; an exception from the solver becomes an unsolved
-    report, so one crashing run cannot abort the bench."""
-    puzzle, mask, method, config = args
+def _guarded(args, run) -> SolveReport:
+    """``run()``, with an exception turned into an unsolved report, so one
+    crashing run or one dead pool worker cannot abort the bench."""
     try:
-        return solve(method, puzzle, mask, config)
+        return run()
     except Exception as exc:
         note = f"error: {type(exc).__name__}: {exc}"
-        return SolveReport(method, False, puzzle, 0.0, 0, note=note)
+        return SolveReport(args[2], False, args[0], 0.0, 0, note=note)
+
+
+def _run_job(args) -> SolveReport:
+    """One bench run."""
+    puzzle, mask, method, config = args
+    return _guarded(args, lambda: solve(method, puzzle, mask, config))
 
 
 def run_bench(
@@ -98,6 +103,8 @@ def run_bench(
     is demoted to unsolved rather than trusted."""
     if not suite.puzzles or not methods:
         raise ValueError("suite and methods must be nonempty")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
@@ -112,7 +119,11 @@ def run_bench(
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_run_job, job_args))
+            # a dead worker breaks the pool: the jobs it held and any later
+            # submission raise BrokenProcessPool, and each becomes an error
+            # report; none is retried, since it may be the job that killed it
+            runs = [_guarded(a, lambda: pool.submit(_run_job, a)) for a in job_args]
+            reports = [r if isinstance(r, SolveReport) else _guarded(a, r.result) for r, a in zip(runs, job_args)]
     else:
         reports = [_run_job(a) for a in job_args]
 

@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import math
 import random
 import re
@@ -383,3 +384,40 @@ class TestAnneal:
         assert temps[10_001] == 200.0  # proposal 10_000 runs at the reset value
         assert temps[10_000] == 200.0 * 0.99 ** (9_999 // 50)
         assert temps[10_051] == 200.0 * 0.99
+
+
+class TestDrawTable:
+    def test_prefix_sums_match_full_rebuild(self, monkeypatch, medium_suite):
+        # the loop keeps its prefix-sum table up to date from the lowest
+        # re-weighed slot; at every draw it must equal, float for float and
+        # in length, the prefix sums of the current weights
+        live = []
+        create = annealing.AnnealState.create
+
+        def recording_create(*args, **kwargs):
+            live.append(create(*args, **kwargs))
+            return live[-1]
+
+        draws = 0
+
+        def checking_bisect(cum, x):
+            nonlocal draws
+            draws += 1
+            assert cum == list(itertools.accumulate(live[0]._fw))
+            return bisect.bisect_right(cum, x)
+
+        monkeypatch.setattr(annealing.AnnealState, "create", recording_create)
+        monkeypatch.setattr(annealing, "bisect_right", checking_bisect)
+        moves = 0
+        before = []
+
+        def observer(state):
+            nonlocal moves
+            moves += bool(before) and state.board != before[0]
+            before[:] = [list(state.board)]
+
+        _, board, mask = medium_suite.puzzles[0]
+        cfg = AnnealConfig(seed=0, max_iterations=20_000, reset_at=20_000)
+        report = anneal(board, mask, cfg, observer)
+        assert report.work == 20_000 and draws >= 2 * 20_000
+        assert moves > 5_000

@@ -1,8 +1,13 @@
 import csv
+import multiprocessing
+import os
 import re
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import pytest
 
+from sudokulab import backtracking
 from sudokulab.annealing import AnnealConfig, anneal
 from sudokulab.bench import (
     METHODS,
@@ -152,6 +157,45 @@ class TestRunBench:
         monkeypatch.setattr("sudokulab.bench._run_job", no_run)
         with pytest.raises(ValueError, match="'bogus'"):
             run_bench(_tiny(easy_suite), methods=("backtracking", "bogus"))
+
+    def test_dead_worker_is_a_per_run_error(self, easy_suite, monkeypatch):
+        # a solver that kills its worker process on easy #3 breaks the pool
+        # of two; the bench still returns one record per run
+        suite = PuzzleSuite("easy", easy_suite.puzzles[:5])
+        methods = ("backtracking", "projection")
+        doomed = easy_suite.puzzles[3][1]
+        real = backtracking.solve
+
+        def dying(puzzle, mask):
+            if puzzle == doomed:
+                os._exit(1)
+            return real(puzzle, mask)
+
+        monkeypatch.setattr("sudokulab.backtracking.solve", dying)
+        # forked workers inherit the patched solver, whatever the default start method
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr("sudokulab.bench.ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=fork))
+        records = run_bench(suite, methods=methods, jobs=2)
+        assert [(r.puzzle_id, r.report.method) for r in records] == [
+            (pid, method) for method in methods for pid in range(5)
+        ]
+        lost = "error: BrokenProcessPool: "
+        assert not records[3].report.solved and records[3].report.note.startswith(lost)
+        for rec in records:
+            _, puzzle, mask = suite.puzzles[rec.puzzle_id]
+            if rec.report.solved:
+                assert is_solved(rec.report.board) and clues_respected(rec.report.board, puzzle, mask)
+            else:
+                assert rec.report.note.startswith(lost)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_fewer_than_one_job_rejected(self, easy_suite, monkeypatch, jobs):
+        def no_run(args):
+            raise AssertionError("a run started with an invalid job count")
+
+        monkeypatch.setattr("sudokulab.bench._run_job", no_run)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_bench(_tiny(easy_suite), methods=("backtracking",), jobs=jobs)
 
     def test_parallel_matches_serial(self, easy_suite):
         suite = _tiny(easy_suite)

@@ -225,6 +225,15 @@ class TestBench:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_fewer_than_one_job_exits_2(self, capsys, jobs):
+        code = run_cli(["bench", "--suite", str(suite_path("easy")), "--methods", "backtracking",
+                        "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: jobs must be at least 1, got {jobs}\n"
+
     def test_missing_suite_file_exits_2(self, tmp_path):
         assert run_cli(["bench", "--suite", str(tmp_path / "none.txt")]) == 2
 
