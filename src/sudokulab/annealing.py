@@ -136,6 +136,7 @@ def anneal(
 
     # local bindings for the hot loop
     board = state.board
+    counts = state._counts
     free = state._free
     fpos = state._fpos
     fw = state._fw
@@ -152,9 +153,8 @@ def anneal(
         # no swap can move, and the distinct second draw below would never
         # end; valid clues that leave fewer free cells are solved by the fill
         raise ValueError("need at least two non-clue cells to propose a swap")
-    # per cell its three count rows; per unit its free cells as
-    # (slot, cell, row0, row1, row2)
-    rows_of = [tuple(state._counts[u] for u in cell_units[i]) for i in range(81)]
+    # per cell its three count rows; per unit its free cells as (slot, cell, row0, row1, row2)
+    rows_of = [(counts[u0], counts[u1], counts[u2]) for u0, u1, u2 in cell_units]
     unit_free = [[(fpos[i], i, *rows_of[i]) for i in cells if fpos[i] >= 0] for cells in UNITS]
 
     reset_base = 0

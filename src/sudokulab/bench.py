@@ -119,9 +119,9 @@ def run_bench(
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            # a dead worker breaks the pool: the jobs it held and any later
+            # a dead worker breaks the pool: every unfinished job and any later
             # submission raise BrokenProcessPool, and each becomes an error
-            # report; none is retried, since it may be the job that killed it
+            # report; none is retried, since one of them killed the worker
             runs = [_guarded(a, lambda: pool.submit(_run_job, a)) for a in job_args]
             reports = [r if isinstance(r, SolveReport) else _guarded(a, r.result) for r, a in zip(runs, job_args)]
     else:
