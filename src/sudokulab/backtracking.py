@@ -4,6 +4,8 @@ Empty cells are ordered once, on the initial board, by ascending candidate
 list size (ties broken row-major).  The search grows a digit string along
 that order in dictionary order, abandoning a prefix the moment a placed digit
 duplicates a digit in one of its three units (read from 27 unit bitmasks).
+Without a trace hook only the digits the units still lack are tried, read from
+a 512-entry table; the rejected ones are still counted as placement attempts.
 Enumeration thus yields complete solutions in the dictionary order induced by
 the cell ordering; exhausting the tree proves uniqueness or unsatisfiability.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 from .board import (
@@ -21,6 +24,7 @@ from .board import (
     candidates,
     cell_index,
     cell_ref,
+    check_clue_mask,
     unit_masks,
 )
 from .report import SolveReport
@@ -29,6 +33,10 @@ from .report import SolveReport
 #: digits placed so far, in search order) and whether the placement was
 #: feasible.  Infeasible placements are rejected and their subtree pruned.
 TraceHook = Callable[[str, bool], None]
+
+#: Entry m lists, ascending, the digits d whose bit d - 1 is clear in m; built
+#: by doubling, d joining the entries of the masks with bit d - 1 clear.
+_LACKING: list[tuple[int, ...]] = reduce(lambda t, d: [x + (d,) for x in t] + t, range(1, 10), [()])
 
 
 @dataclass(frozen=True)
@@ -61,8 +69,9 @@ def enumerate_solutions(
 
     Returns fewer than ``cap`` boards iff the whole search tree was
     exhausted, which proves no further solution exists.  Raises
-    ``PuzzleError`` when two filled cells of one unit hold the same digit.
+    ``PuzzleError`` for input that ``check_clue_mask`` or ``unit_masks`` rejects.
     """
+    check_clue_mask(board, clue_mask)
     return _search(board, cap, trace)[0]
 
 
@@ -88,23 +97,24 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
         u0, u1, u2 = CELL_UNITS[i]
         taken = used[u0] | used[u1] | used[u2]  # placements below are undone or end the search
         digits = lists[depth]
+        # untraced, only the digits the units lack are tried: as used only gains
+        # bits along a path, they are the feasible part of digits, in order.  Each
+        # call counts its attempts, rejected ones too: all of its digits, or
+        # those up to the one whose subtree ended the search
         grown = prefix  # digits placed so far, in search order; grown only for a trace hook
-        # attempts are counted once per call: all of its digits, or those
-        # up to the one whose subtree ended the search
-        for d in digits:
+        for d in digits if trace is not None else _LACKING[taken >> 1]:
             bit = 1 << d
-            ok = not taken & bit
             if trace is not None:
                 grown = prefix + str(d)
-                trace(grown, ok)
-            if ok:
-                grid[i] = d
-                used[u0], used[u1], used[u2] = used[u0] | bit, used[u1] | bit, used[u2] | bit
-                if dfs(depth + 1, grown):
-                    nodes += digits.index(d) + 1
-                    return True
-                used[u0], used[u1], used[u2] = used[u0] ^ bit, used[u1] ^ bit, used[u2] ^ bit
-                grid[i] = 0
+                trace(grown, not taken & bit)
+                if taken & bit:
+                    continue
+            grid[i] = d  # every cell below is rewritten before the grid is copied
+            used[u0], used[u1], used[u2] = used[u0] | bit, used[u1] | bit, used[u2] | bit
+            if dfs(depth + 1, grown):
+                nodes += digits.index(d) + 1
+                return True
+            used[u0], used[u1], used[u2] = used[u0] ^ bit, used[u1] ^ bit, used[u2] ^ bit
         nodes += len(digits)
         return False
 
@@ -114,8 +124,9 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
 
 def solve(board: Board, clue_mask: ClueMask) -> SolveReport:
     """First solution (or failure) with a work count of placement attempts,
-    the calls a ``trace`` hook would receive.  Raises ``PuzzleError`` if a unit repeats a digit."""
+    the calls a ``trace`` hook would receive.  Raises ``PuzzleError`` as ``enumerate_solutions`` does."""
     start = time.perf_counter()
+    check_clue_mask(board, clue_mask)
     found, nodes = _search(board, 1, None)
     elapsed = time.perf_counter() - start
     if found:

@@ -13,6 +13,7 @@ ClueMask = tuple[bool, ...]
 CellRef = tuple[int, int]
 
 DIGITS = frozenset(range(1, 10))
+_VALUES = frozenset(range(10))
 
 
 class PuzzleError(ValueError):
@@ -84,7 +85,8 @@ def parse_puzzle(text: str) -> tuple[Board, ClueMask]:
 def unit_masks(board: Board) -> list[int]:
     """The 27 unit masks of a board, bit d of mask u set when a filled cell
     of unit u holds digit d.  The one clue check: raises ``PuzzleError``
-    when a unit repeats a digit."""
+    when a unit repeats a digit, or unless the board is 81 ints in 0-9."""
+    _check_board(board)
     used = [0] * 27
     for i, d in enumerate(board):
         if d:
@@ -97,12 +99,25 @@ def unit_masks(board: Board) -> list[int]:
     return used
 
 
-def clue_unit_masks(puzzle: Board, clue_mask: ClueMask) -> list[int]:
-    """``unit_masks`` of the clue cells alone; also raises ``PuzzleError``
-    when the mask marks an empty cell as a clue."""
+def _check_board(board: Board) -> None:
+    if len(board) != 81 or not _VALUES.issuperset(board):
+        raise PuzzleError("a board must be 81 ints in 0-9")
+
+
+def check_clue_mask(puzzle: Board, clue_mask: ClueMask) -> None:
+    """Raise ``PuzzleError`` unless the puzzle is 81 ints in 0-9 and the
+    mask has 81 entries, none marking an empty cell as a clue."""
+    _check_board(puzzle)
+    if len(clue_mask) != 81:
+        raise PuzzleError(f"a clue mask must have 81 entries, got {len(clue_mask)}")
     for i, c in enumerate(clue_mask):
         if c and not puzzle[i]:
             raise PuzzleError(f"clue mask marks the empty cell {cell_ref(i)} as a clue")
+
+
+def clue_unit_masks(puzzle: Board, clue_mask: ClueMask) -> list[int]:
+    """``unit_masks`` of the clue cells alone, after ``check_clue_mask``."""
+    check_clue_mask(puzzle, clue_mask)
     return unit_masks(tuple(d if c else 0 for d, c in zip(puzzle, clue_mask)))
 
 
@@ -124,10 +139,10 @@ def render_board(board: Board, style: str = "grid") -> str:
 
 def violation_cost(board: Board) -> int:
     """Total unit deficiency: sum over the 27 units of 9 minus the number
-    of distinct nonzero digits present.  Zero iff the board is solved."""
+    of distinct digits 1-9 present.  Zero iff the board is solved."""
     cost = 0
     for unit in UNITS:
-        distinct = {board[i] for i in unit} - {0}
+        distinct = {board[i] for i in unit} & DIGITS
         cost += 9 - len(distinct)
     return cost
 

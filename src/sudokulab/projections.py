@@ -95,6 +95,7 @@ def project_simplex(point) -> np.ndarray:
 
 
 _FAMILIES = ("row", "column", "subgrid", "cell")
+_UNITS = np.array(UNITS)   # (27, 9) cells of each unit
 
 
 @functools.cache
@@ -163,31 +164,38 @@ def round_tensor(tensor: np.ndarray) -> Board:
     return tuple((np.argmax(tensor, axis=2) + 1).reshape(-1).tolist())
 
 
+def _rounds_solved(tensor: np.ndarray) -> bool:
+    """``is_solved(round_tensor(tensor))`` read off the tensor: every unit's
+    cells take nine different argmax digits, ties going the same way."""
+    digits = np.argmax(tensor.reshape(81, 9), axis=1)
+    return bool((np.sort(digits[_UNITS], axis=1) == np.arange(9)).all())
+
+
 def solve_by_projection(
     puzzle: Board,
     clue_mask: ClueMask,
     config: ProjectionConfig | None = None,
     diagnostics: list[tuple[int, float, int]] | None = None,
 ) -> SolveReport:
-    """Alternating projections from the origin, rounding after every
-    sweep; stops on a solved rounding, a stalled sweep, or the sweep cap.
+    """Alternating projections from the origin, testing the rounding after
+    every sweep; stops on a solved rounding, a stalled sweep, or the sweep cap.
     ``diagnostics`` collects (sweep, max_change, rounded_cost) rows when
     supplied."""
     cfg = config or ProjectionConfig()
     start = time.perf_counter()
     tensor, plan = build_constraint_plan(puzzle, clue_mask)
 
-    board = round_tensor(tensor)
-    solved = is_solved(board)
+    solved = _rounds_solved(tensor)
     sweeps = 0
     max_change = np.inf
     while not solved and sweeps < cfg.max_sweeps and max_change >= cfg.stall_tolerance:
         tensor, max_change = sweep(tensor, plan)
         sweeps += 1
-        board = round_tensor(tensor)
         if diagnostics is not None:
-            diagnostics.append((sweeps, max_change, violation_cost(board)))
-        solved = is_solved(board)
+            diagnostics.append((sweeps, max_change, violation_cost(round_tensor(tensor))))
+        solved = _rounds_solved(tensor)
+    board = round_tensor(tensor)
+    solved = is_solved(board)
 
     return SolveReport(
         "projection",

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sudokulab import backtracking
 from sudokulab.backtracking import enumerate_solutions, order_cells, solve
@@ -110,6 +111,14 @@ class TestClueConflict:
             enumerate_solutions(board, (True,) * 81, cap=2)
 
 
+    def test_empty_cell_marked_as_clue_raises(self, sample):
+        board, mask = sample
+        mask = mask[:5] + (True,) + mask[6:]
+        for call in (lambda: solve(board, mask), lambda: enumerate_solutions(board, mask, cap=2)):
+            with pytest.raises(PuzzleError, match=r"clue mask marks the empty cell \(1, 6\) as a clue"):
+                call()
+
+
 class TestPeerScanOracle:
     """The unit-mask search against the peer-scan search it replaced."""
 
@@ -128,6 +137,57 @@ class TestPeerScanOracle:
             enumerate_solutions(board, mask, cap=2, trace=lambda p, ok: ours.append((p, ok)))
             peer_scan_search(board, 2, lambda p, ok: theirs.append((p, ok)))
             assert ours == theirs and len(ours) > 100
+
+
+class TestLackingDigits:
+    """The untraced search tries only the digits a cell's units lack, and
+    still counts the rejected ones."""
+
+    # (solutions, placement attempts) of the untraced search at caps 1 and
+    # 2, frozen from the search that tried every digit of each list
+    FROZEN = {
+        "easy": [((1, 210), (1, 766)), ((1, 334), (1, 500)), ((1, 73), (1, 163)),
+                 ((1, 135), (1, 582)), ((1, 240), (1, 356)), ((1, 134), (1, 348)),
+                 ((1, 101), (1, 157)), ((1, 71), (1, 431)), ((1, 124), (1, 170)),
+                 ((1, 66), (1, 163))],
+        "medium": [((1, 107), (1, 2345)), ((1, 181), (1, 1973)), ((1, 639), (1, 890)),
+                   ((1, 7588), (1, 18451)), ((1, 422), (1, 1103)), ((1, 9070), (1, 10548)),
+                   ((1, 1521), (1, 2015)), ((1, 275), (1, 1887)), ((1, 216), (1, 459)),
+                   ((1, 294), (1, 362))],
+        "hard": [((1, 530542), (1, 1317177)), ((1, 193945), (1, 207855)),
+                 ((1, 76112), (1, 4494226)), ((1, 209001), (1, 364211)),
+                 ((1, 6268), (1, 10690))],
+    }
+
+    def test_table(self):
+        assert len(backtracking._LACKING) == 512
+        for m in range(512):
+            assert backtracking._LACKING[m] == tuple(d for d in range(1, 10) if not m >> (d - 1) & 1)
+
+    def test_frozen_counts(self):
+        for name, frozen in self.FROZEN.items():
+            suite = load_suite(suite_path(name), name)
+            counts = []
+            for _, board, _ in suite.puzzles:
+                runs = (backtracking._search(board, cap, None) for cap in (1, 2))
+                counts.append(tuple((len(sols), nodes) for sols, nodes in runs))
+            assert counts == frozen, name
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(30, 55), st.integers(1, 3))
+    def test_matches_traced_search(self, rng, holes, cap):
+        full = solve_all(EMPTY, cap=1)[0]
+        relabel = list(range(1, 10))
+        rng.shuffle(relabel)
+        board = [relabel[d - 1] for d in full]
+        for i in rng.sample(range(81), holes):
+            board[i] = 0
+        board = tuple(board)
+        events = []
+        traced = enumerate_solutions(board, tuple(d != 0 for d in board), cap,
+                                     trace=lambda p, ok: events.append(ok))
+        assert backtracking._search(board, cap, None) == (traced, len(events))
+        assert not all(events)  # some digits were rejected, and counted
 
 
 class TestTrace:

@@ -114,6 +114,23 @@ class TestRunBench:
             ("false", "", "failed independent re-check")
         ] * len(records)
 
+    def test_recheck_demotes_a_ten(self, easy_suite, monkeypatch):
+        # a solved board with one cell that was empty set to 10: no digit 1-9
+        # is repeated, but one is missing from each of the cell's units
+        _, puzzle, mask = easy_suite.puzzles[0]
+        solution = solve("backtracking", puzzle, mask).board
+        i = mask.index(False)
+        board = solution[:i] + (10,) + solution[i + 1:]
+        assert not is_solved(board)
+
+        def liar(args):
+            return SolveReport(args[2], True, board, 0.0, 0, final_cost=0)
+
+        monkeypatch.setattr("sudokulab.bench._run_job", liar)
+        (record,) = run_bench(PuzzleSuite("ten", ((0, puzzle, mask),)), methods=("backtracking",))
+        assert not record.report.solved
+        assert record.report.note == "failed independent re-check"
+
     def test_solver_exception_is_a_per_run_error(self, easy_suite, monkeypatch, tmp_path):
         suite = _tiny(easy_suite)
         methods = ("backtracking", "projection")
@@ -229,11 +246,33 @@ class TestClueConflict:
         ("projection", ProjectionConfig(max_sweeps=10)),
     ], ids=["annealing", "projection"])
     def test_empty_cell_marked_as_clue(self, method, config):
-        # backtracking never reads the mask, so it is not asked to check it
         mask = (True,) + (False,) * 80
         message = "clue mask marks the empty cell (1, 1) as a clue"
         with pytest.raises(PuzzleError, match=re.escape(message)):
             solve(method, (0,) * 81, mask, config)
+
+
+class TestRawInput:
+    """Every method rejects a malformed board or clue mask with the one
+    error of ``board.check_clue_mask``, before any search."""
+
+    @staticmethod
+    def _cases(board, mask):
+        assert board[5] == 0  # (1,6) is empty
+        return {
+            "80-cell board": (board[:80], mask, "a board must be 81 ints in 0-9"),
+            "80-entry mask": (board, mask[:80], "a clue mask must have 81 entries, got 80"),
+            "a 10": (board[:5] + (10,) + board[6:], mask, "a board must be 81 ints in 0-9"),
+            "mask marks (1,6)": (board, mask[:5] + (True,) + mask[6:],
+                                 "clue mask marks the empty cell (1, 6) as a clue"),
+        }
+
+    @pytest.mark.parametrize("case", ["80-cell board", "80-entry mask", "a 10", "mask marks (1,6)"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_same_error_for_every_method(self, method, case, sample):
+        board, mask, message = self._cases(*sample)[case]
+        with pytest.raises(PuzzleError, match=re.escape(message)):
+            solve(method, board, mask)
 
 
 def _record(suite, pid, method, solved, t):

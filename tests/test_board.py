@@ -188,6 +188,13 @@ class TestUnitMasks:
             assert unit_masks(board) == [sum(1 << d for d in u) for u in units]
 
 
+    @pytest.mark.parametrize("board", [(0,) * 80, (0,) * 82, (10,) + (0,) * 80, (-1,) + (0,) * 80, "." * 81],
+                             ids=["80 cells", "82 cells", "a 10", "a -1", "a string"])
+    def test_rejects_malformed_board(self, board):
+        with pytest.raises(PuzzleError, match="a board must be 81 ints in 0-9"):
+            unit_masks(board)
+
+
 class TestIsSolved:
     def test_partial_board(self, sample):
         assert not is_solved(sample[0])
@@ -198,6 +205,14 @@ class TestIsSolved:
     def test_solution(self, sample_solution):
         assert is_solved(sample_solution)
         assert unit_scan_solved(sample_solution)
+
+
+    def test_ten_is_not_a_digit(self, sample_solution):
+        # a 10 in place of one digit repeats nothing, but that digit is
+        # missing from each of the cell's three units
+        board = (10,) + sample_solution[1:]
+        assert violation_cost(board) == 3
+        assert not is_solved(board)
 
 
 def test_digit_histogram():

@@ -256,6 +256,28 @@ class TestRoundTensor:
         assert round_tensor(np.zeros((9, 9, 9))) == (1,) * 81
 
 
+class TestRoundsSolved:
+    """The solved test on the tensor against rounding and ``is_solved``."""
+
+    def test_matches_is_solved_of_rounding(self):
+        assert projections._rounds_solved(_indicator(_FULL))
+        assert not projections._rounds_solved(np.zeros((9, 9, 9)))   # all ties: digit 1 everywhere
+        latin = tuple((r + c) % 9 + 1 for r in range(9) for c in range(9))   # its subgrids repeat digits
+        assert not projections._rounds_solved(_indicator(latin))
+        seen = set()
+        for name in ("easy", "medium", "hard"):
+            for _, board, mask in _bundled(name):
+                tensor, plan = build_constraint_plan(board, mask)
+                for _ in range(300):   # hard #0, #2 and #3 never round to a solution
+                    solved = is_solved(round_tensor(tensor))
+                    assert projections._rounds_solved(tensor) == solved
+                    seen.add(solved)
+                    if solved:
+                        break
+                    sweep(tensor, plan)
+        assert seen == {True, False}
+
+
 class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
