@@ -96,7 +96,7 @@ class AnnealState:
 def initial_board(puzzle: Board, clue_mask: ClueMask, rng: random.Random) -> Board:
     """Fill the empty cells with a random permutation of the digits missing
     from each row's clues, which gives every digit exactly nine occurrences.
-    Raises ``PuzzleError`` for a mask that ``clue_unit_masks`` rejects."""
+    Raises ``PuzzleError`` for input that ``clue_unit_masks`` rejects."""
     rows = clue_unit_masks(puzzle, clue_mask)[:9]
     pool = [d for d in range(1, 10) for used in rows if not used >> d & 1]
     rng.shuffle(pool)
