@@ -14,6 +14,7 @@ CellRef = tuple[int, int]
 
 DIGITS = frozenset(range(1, 10))
 _VALUES = frozenset(range(10))
+_INT = frozenset({int})
 
 
 class PuzzleError(ValueError):
@@ -100,7 +101,8 @@ def unit_masks(board: Board) -> list[int]:
 
 
 def _check_board(board: Board) -> None:
-    if len(board) != 81 or not _VALUES.issuperset(board):
+    # a float such as 1.0 equals an int digit, so the types are checked too
+    if len(board) != 81 or not _VALUES.issuperset(board) or set(map(type, board)) != _INT:
         raise PuzzleError("a board must be 81 ints in 0-9")
 
 

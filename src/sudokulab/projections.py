@@ -40,6 +40,7 @@ class SliceFamily:
     kind: str
     members: np.ndarray   # (n, 9) intp flat indices, one row per slice
     free: np.ndarray      # (n, 9) bool, True where the member is still free
+    pad: np.ndarray       # (n, 9) float, 0.0 where free and -inf where fixed
 
 
 @dataclass(frozen=True)
@@ -83,15 +84,22 @@ def project_simplex(point) -> np.ndarray:
         raise ValueError("point must be a nonempty 1-d vector or 2-d stack of them")
     pts = y.reshape(-1, y.shape[-1])   # a 1-d point is a stack of one
     w = np.sort(pts, axis=1)[:, ::-1]
-    if np.any(w[:, 0] == -np.inf):
+    if w[:, 0].min() == -np.inf:
         raise ValueError("every point needs an entry above -inf")
-    css = np.cumsum(w, axis=1)
-    d = pts.shape[1]
+    rows, steps = _ranges(*pts.shape)
+    thr = (np.cumsum(w, axis=1) - 1.0) / steps
     # w_1 > w_1 - 1 always holds, so every point keeps at least one entry;
-    # k counts the entries up to the last one where the test holds
-    k = d - np.argmax((w > (css - 1.0) / np.arange(1, d + 1))[:, ::-1], axis=1)
-    lam = (css[np.arange(len(pts)), k - 1] - 1.0) / k
-    return np.maximum(pts - lam[:, None], 0.0).reshape(y.shape)
+    # the threshold is the one at the last entry where the test holds
+    last = pts.shape[1] - 1 - np.argmax((w > thr)[:, ::-1], axis=1)
+    return np.maximum(pts - thr[rows, last][:, None], 0.0).reshape(y.shape)
+
+
+@functools.lru_cache(maxsize=128)
+def _ranges(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row index 0..n-1 and the step vector 1..d of an (n, d) stack."""
+    rows, steps = np.arange(n), np.arange(1, d + 1)
+    rows.flags.writeable = steps.flags.writeable = False
+    return rows, steps
 
 
 _FAMILIES = ("row", "column", "subgrid", "cell")
@@ -135,27 +143,28 @@ def build_constraint_plan(puzzle: Board, clue_mask: ClueMask) -> tuple[np.ndarra
     fixed[members[slice_of[ones].reshape(-1)]] = True
 
     free = ~fixed[members]
+    pad = np.where(free, 0.0, -np.inf)
     active = free.any(axis=1)
     families = []
     for f, kind in enumerate(_FAMILIES):
         rows = np.flatnonzero(active[81 * f : 81 * f + 81]) + 81 * f
         if rows.size:
-            families.append(SliceFamily(kind, members[rows], free[rows]))
+            families.append(SliceFamily(kind, members[rows], free[rows], pad[rows]))
     return tensor, ConstraintPlan(tuple(families), int(np.count_nonzero(fixed)))
 
 
 def sweep(tensor: np.ndarray, plan: ConstraintPlan) -> tuple[np.ndarray, float]:
     """Project every active slice of the tensor once, in place, one batched
-    projection per family in plan order, the fixed members going in as -inf
+    projection per family in plan order, the fixed members padded to -inf
     and back as the 0 they hold; returns it and the largest absolute change."""
     flat = tensor.reshape(-1)
-    max_change = 0.0
+    changes = []
     for fam in plan.families:
         y = flat[fam.members]
-        x = project_simplex(np.where(fam.free, y, -np.inf))
-        max_change = max(max_change, float(np.max(np.abs(x - y))))
+        x = project_simplex(y + fam.pad)
+        changes.append(x - y)
         flat[fam.members] = x
-    return tensor, max_change
+    return tensor, float(np.abs(np.concatenate(changes)).max()) if changes else 0.0
 
 
 def round_tensor(tensor: np.ndarray) -> Board:
@@ -203,5 +212,5 @@ def solve_by_projection(
         board,
         time.perf_counter() - start,
         sweeps,
-        final_cost=violation_cost(board),
+        final_cost=0 if solved else violation_cost(board),   # a rounding holds no 0
     )

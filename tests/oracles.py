@@ -8,7 +8,6 @@ import numpy as np
 
 from sudokulab.backtracking import order_cells
 from sudokulab.board import PEERS, cell_index
-from sudokulab.projections import project_simplex
 
 #: entry codes of ``reference_plan``'s status vector
 FREE, FIXED_ZERO, FIXED_ONE = 0, 1, 2
@@ -174,6 +173,31 @@ def unit_scan_solved(board) -> bool:
     return True
 
 
+def reference_simplex(point) -> np.ndarray:
+    """Euclidean projection onto {x : x >= 0, sum(x) = 1}.
+
+    A 2-d ``point`` is a stack of points, each row projected on its own.
+    A ``-inf`` entry is absent from its point and comes out as 0.
+
+    Sort descending, keep the largest k with w_k > (sum of the top k - 1)/k,
+    and clip at the resulting threshold.  O(d log d), exact up to round-off.
+    """
+    y = np.asarray(point, dtype=float)
+    if y.ndim not in (1, 2) or y.size == 0:
+        raise ValueError("point must be a nonempty 1-d vector or 2-d stack of them")
+    pts = y.reshape(-1, y.shape[-1])   # a 1-d point is a stack of one
+    w = np.sort(pts, axis=1)[:, ::-1]
+    if np.any(w[:, 0] == -np.inf):
+        raise ValueError("every point needs an entry above -inf")
+    css = np.cumsum(w, axis=1)
+    d = pts.shape[1]
+    # w_1 > w_1 - 1 always holds, so every point keeps at least one entry;
+    # k counts the entries up to the last one where the test holds
+    k = d - np.argmax((w > (css - 1.0) / np.arange(1, d + 1))[:, ::-1], axis=1)
+    lam = (css[np.arange(len(pts)), k - 1] - 1.0) / k
+    return np.maximum(pts - lam[:, None], 0.0).reshape(y.shape)
+
+
 def brute_force_simplex(y):
     """Nearest point of the unit simplex by enumerating all 2^d - 1
     candidate supports and solving each support's closed form."""
@@ -246,7 +270,7 @@ def reference_plan(board, mask):
 
 
 def per_slice_sweep(tensor, plan):
-    """The sweep of the (9, 9, 9) tensor as one 1-d ``project_simplex``
+    """The sweep of the (9, 9, 9) tensor as one 1-d ``reference_simplex``
     call per active slice, on its free entries, in plan order; returns the
     tensor and the largest absolute entry change."""
     flat = tensor.reshape(-1)
@@ -254,7 +278,7 @@ def per_slice_sweep(tensor, plan):
     for s in plan.slices:
         idx = np.asarray(s.free, dtype=np.intp)
         y = flat[idx]
-        x = project_simplex(y)
+        x = reference_simplex(y)
         change = float(np.max(np.abs(x - y)))
         if change > max_change:
             max_change = change

@@ -274,6 +274,14 @@ class TestRawInput:
         with pytest.raises(PuzzleError, match=re.escape(message)):
             solve(method, board, mask)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_float_value_rejected_by_every_method(self, method, sample):
+        # 1.0 == 1, so only its type tells it from the clue digit it mimics
+        board, mask = sample
+        assert board[0] == 1 and mask[0]
+        with pytest.raises(PuzzleError, match=re.escape("a board must be 81 ints in 0-9")):
+            solve(method, (1.0,) + board[1:], mask)
+
 
 def _record(suite, pid, method, solved, t):
     return BenchRecord(suite, pid, SolveReport(method, solved, (0,) * 81, t, 1))

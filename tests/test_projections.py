@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sudokulab.board import PuzzleError, is_solved, violation_cost
 from sudokulab.projections import (
@@ -16,13 +16,36 @@ from sudokulab import projections
 from sudokulab.bench import load_suite
 from sudokulab.datasets import suite_path
 
-from oracles import FIXED_ONE, FREE, brute_force_simplex, per_slice_sweep, reference_plan, solve_all
+from oracles import (
+    FIXED_ONE,
+    FREE,
+    brute_force_simplex,
+    per_slice_sweep,
+    reference_plan,
+    reference_simplex,
+    solve_all,
+)
 
 _FULL = solve_all((0,) * 81, cap=1)[0]
 
 vectors = st.lists(
     st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=9
 ).map(np.asarray)
+
+
+@st.composite
+def padded_stacks(draw):
+    """(n, d) stacks with -inf padding and at least one present entry per
+    row; values drawn partly from a small set, so rows hold ties."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 9))
+    value = st.one_of(
+        st.sampled_from([0.0, 1.0 / 9.0, 0.5, 1.0, -1.0]),
+        st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+    )
+    y = np.array(draw(st.lists(value, min_size=n * d, max_size=n * d))).reshape(n, d)
+    present = np.array(draw(st.lists(st.booleans(), min_size=n * d, max_size=n * d))).reshape(n, d)
+    present[np.arange(n), draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))] = True
+    return np.where(present, y, -np.inf)
 
 
 def _bundled(name):
@@ -121,6 +144,14 @@ class TestSimplex:
     def test_matches_brute_force(self, y):
         y = np.asarray(y)
         assert np.allclose(project_simplex(y), brute_force_simplex(y), atol=1e-8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(padded_stacks())
+    @example(np.array([[-np.inf, 0.5, -np.inf], [0.2, 0.2, 0.2], [1.0, 1.0, -np.inf]]))
+    def test_matches_reference_on_padded_stacks(self, stack):
+        # the same floating-point operations as the reference, so the same bytes
+        assert project_simplex(stack).tobytes() == reference_simplex(stack).tobytes()
+        assert project_simplex(stack[0]).tobytes() == reference_simplex(stack[0]).tobytes()
 
     def test_kkt_threshold(self):
         y = np.array([0.9, 0.6, -0.4])
@@ -343,6 +374,21 @@ class TestSolveByProjection:
                 run.append((report.board, report.work, report.solved, diag))
             runs.append(run)
         assert runs[0] == runs[1]
+
+    def test_frozen_trajectory(self):
+        # (solved, sweeps, final_cost) at the default config, taken from the
+        # sweep before its pad and one-reduction rewrite
+        easy = [10, 23, 2, 5, 8, 24, 5, 4, 6, 3]
+        medium = [52, 17, 23, 129, 24, 33, 49, 90, 17, 7]
+        expected = [(True, n, 0) for n in easy + medium] + [
+            (False, 2000, 16), (True, 1008, 0), (False, 2000, 14), (False, 1034, 25), (True, 1705, 0),
+        ]
+        got = []
+        for name in ("easy", "medium", "hard"):
+            for _, board, mask in _bundled(name):
+                report = solve_by_projection(board, mask)
+                got.append((report.solved, report.work, report.final_cost))
+        assert got == expected
 
     def test_unsolved_reports_cost(self, unsat_puzzle):
         board, mask = unsat_puzzle
