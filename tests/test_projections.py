@@ -376,8 +376,8 @@ class TestSolveByProjection:
         assert runs[0] == runs[1]
 
     def test_frozen_trajectory(self):
-        # (solved, sweeps, final_cost) at the default config, taken from the
-        # sweep before its pad and one-reduction rewrite
+        # (solved, sweeps, final_cost) at the default config on all 25 bundled
+        # puzzles, frozen so that a change to the trajectory fails here
         easy = [10, 23, 2, 5, 8, 24, 5, 4, 6, 3]
         medium = [52, 17, 23, 129, 24, 33, 49, 90, 17, 7]
         expected = [(True, n, 0) for n in easy + medium] + [
