@@ -59,33 +59,28 @@ class AnnealState:
     temperature: float
     iteration: int
     rng: random.Random
-    # caches kept consistent by the annealing loop; an accepted swap of da
-    # and db re-weighs only the free cells of the two cells' units that
-    # hold da or db, and the draw table is rebuilt from the lowest such slot
+    # caches kept consistent by the annealing loop, which maps each free cell
+    # to its slot in _free itself; an accepted swap of da and db re-weighs
+    # only the free cells of the two cells' units that hold da or db, and the
+    # draw table is rebuilt from the lowest such slot
     _counts: list[list[int]] = field(repr=False, default_factory=list)  # 27 x 10 digit counts
     _free: list[int] = field(repr=False, default_factory=list)          # non-clue cell indices
-    _fpos: list[int] = field(repr=False, default_factory=list)          # cell -> slot in _free, -1 for clues
     _fw: list[float] = field(repr=False, default_factory=list)          # weight per free slot
 
     @classmethod
-    def create(
-        cls, board: Board, clue_mask: ClueMask, config: AnnealConfig, rng: random.Random | None = None
-    ) -> "AnnealState":
+    def create(cls, board: Board, clue_mask: ClueMask, config: AnnealConfig, rng: random.Random) -> "AnnealState":
         state = cls(
             board=list(board),
             cost=violation_cost(board),
             temperature=config.initial_temperature,
             iteration=0,
-            rng=rng if rng is not None else random.Random(config.seed),
+            rng=rng,
         )
         counts = state._counts = [[0] * 10 for _ in range(27)]
         for i, d in enumerate(state.board):
             for u in CELL_UNITS[i]:
                 counts[u][d] += 1
         state._free = [i for i in range(81) if not clue_mask[i]]
-        state._fpos = [-1] * 81
-        for slot, i in enumerate(state._free):
-            state._fpos[i] = slot
         # weight exp(degree), the degree counting the units that repeat the cell's digit
         state._fw = [
             _EXP_DEGREE[sum(counts[u][board[i]] >= 2 for u in CELL_UNITS[i])] for i in state._free
@@ -138,7 +133,6 @@ def anneal(
     board = state.board
     counts = state._counts
     free = state._free
-    fpos = state._fpos
     fw = state._fw
     rnd = rng.random
     exp = math.exp
@@ -155,7 +149,8 @@ def anneal(
         raise ValueError("need at least two non-clue cells to propose a swap")
     # per cell its three count rows; per unit its free cells as (slot, cell, row0, row1, row2)
     rows_of = [(counts[u0], counts[u1], counts[u2]) for u0, u1, u2 in cell_units]
-    unit_free = [[(fpos[i], i, *rows_of[i]) for i in cells if fpos[i] >= 0] for cells in UNITS]
+    slot_of = {i: slot for slot, i in enumerate(free)}
+    unit_free = [[(slot_of[i], i, *rows_of[i]) for i in cells if i in slot_of] for cells in UNITS]
 
     reset_base = 0
     temp = t0
@@ -173,16 +168,11 @@ def anneal(
             # never 0.0: once the schedule underflows, every uphill move is rejected
             temp = max(t0 * cool ** (steps // period), math.ulp(0.0))
 
-        # weighted draws; the second repeats until distinct
-        sa = bisect(cum, rnd() * total)
-        if sa > last:
-            sa = last  # float round-off on the final bin
-        while True:
-            sb = bisect(cum, rnd() * total)
-            if sb > last:
-                sb = last
-            if sb != sa:
-                break
+        # weighted draws, the second repeated until distinct; searching only
+        # cum[:last] puts a draw past the final bin by round-off into it
+        sa = sb = bisect(cum, rnd() * total, 0, last)
+        while sb == sa:
+            sb = bisect(cum, rnd() * total, 0, last)
         a, b = free[sa], free[sb]
         da, db = board[a], board[b]
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import csv
 import statistics
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 from . import annealing, backtracking
@@ -21,9 +22,6 @@ STATS_HEADER = "suite,method,success_rate,min_s,median_s,mean_s,max_s"
 class PuzzleSuite:
     name: str
     puzzles: tuple[tuple[int, Board, ClueMask], ...]
-
-    def __len__(self) -> int:
-        return len(self.puzzles)
 
 
 @dataclass(frozen=True)
@@ -75,20 +73,39 @@ def solve(method: str, puzzle: Board, mask: ClueMask, config=None) -> SolveRepor
     raise ValueError(f"unknown method {method!r}")
 
 
-def _guarded(args, run) -> SolveReport:
-    """``run()``, with an exception turned into an unsolved report, so one
-    crashing run or one dead pool worker cannot abort the bench."""
-    try:
-        return run()
-    except Exception as exc:
-        note = f"error: {type(exc).__name__}: {exc}"
-        return SolveReport(args[2], False, args[0], 0.0, 0, note=note)
+def _failed(args, exc: BaseException) -> SolveReport:
+    """The unsolved report of a bench run lost to ``exc``."""
+    return SolveReport(args[2], False, args[0], 0.0, 0, note=f"error: {type(exc).__name__}: {exc}")
 
 
 def _run_job(args) -> SolveReport:
-    """One bench run."""
+    """One bench run; an exception becomes an unsolved report, so one
+    crashing run cannot abort the bench."""
     puzzle, mask, method, config = args
-    return _guarded(args, lambda: solve(method, puzzle, mask, config))
+    try:
+        return solve(method, puzzle, mask, config)
+    except Exception as exc:
+        return _failed(args, exc)
+
+
+def _pooled(job_args, workers: int) -> list[SolveReport]:
+    """The runs' reports from a pool of ``workers`` processes.  A dead worker
+    breaks the pool and loses every run still open or submitted after it; in
+    a larger pool each lost run gets one more try, alone in a fresh pool, so
+    only a run that kills its own worker becomes an error report."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = []
+        for a in job_args:
+            try:
+                futures.append(pool.submit(_run_job, a))
+            except BrokenProcessPool as exc:
+                futures.append(Future())
+                futures[-1].set_exception(exc)
+        errors = [f.exception() for f in futures]
+    return [
+        f.result() if e is None else _pooled([a], 1)[0] if workers > 1 else _failed(a, e)
+        for f, e, a in zip(futures, errors, job_args)
+    ]
 
 
 def run_bench(
@@ -117,15 +134,7 @@ def run_bench(
         (p, m, meth, annealing.AnnealConfig(seed=base_seed + pid) if meth == "annealing" else None)
         for pid, p, m, meth in tasks
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            # a dead worker breaks the pool: every unfinished job and any later
-            # submission raise BrokenProcessPool, and each becomes an error
-            # report; none is retried, since one of them killed the worker
-            runs = [_guarded(a, lambda: pool.submit(_run_job, a)) for a in job_args]
-            reports = [r if isinstance(r, SolveReport) else _guarded(a, r.result) for r, a in zip(runs, job_args)]
-    else:
-        reports = [_run_job(a) for a in job_args]
+    reports = _pooled(job_args, jobs) if jobs > 1 else [_run_job(a) for a in job_args]
 
     records = []
     for (pid, puzzle, mask, method), report in zip(tasks, reports):

@@ -39,7 +39,6 @@ class SliceFamily:
     one after another."""
     kind: str
     members: np.ndarray   # (n, 9) intp flat indices, one row per slice
-    free: np.ndarray      # (n, 9) bool, True where the member is still free
     pad: np.ndarray       # (n, 9) float, 0.0 where free and -inf where fixed
 
 
@@ -54,7 +53,7 @@ class ConstraintPlan:
         return tuple(
             ConstraintSlice(fam.kind, tuple(m), tuple(x for x, ok in zip(m, f) if ok))
             for fam in self.families
-            for m, f in zip(fam.members.tolist(), fam.free.tolist())
+            for m, f in zip(fam.members.tolist(), (fam.pad == 0.0).tolist())
         )
 
 
@@ -66,7 +65,7 @@ class ProjectionConfig:
     def __post_init__(self) -> None:
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be positive")
-        if self.stall_tolerance < 0:
+        if not self.stall_tolerance >= 0:   # NaN too
             raise ValueError("stall_tolerance must be nonnegative")
 
 
@@ -142,14 +141,13 @@ def build_constraint_plan(puzzle: Board, clue_mask: ClueMask) -> tuple[np.ndarra
     fixed = np.zeros(729, dtype=bool)
     fixed[members[slice_of[ones].reshape(-1)]] = True
 
-    free = ~fixed[members]
-    pad = np.where(free, 0.0, -np.inf)
-    active = free.any(axis=1)
+    pad = np.where(fixed[members], -np.inf, 0.0)
+    active = (pad == 0.0).any(axis=1)
     families = []
     for f, kind in enumerate(_FAMILIES):
         rows = np.flatnonzero(active[81 * f : 81 * f + 81]) + 81 * f
         if rows.size:
-            families.append(SliceFamily(kind, members[rows], free[rows], pad[rows]))
+            families.append(SliceFamily(kind, members[rows], pad[rows]))
     return tensor, ConstraintPlan(tuple(families), int(np.count_nonzero(fixed)))
 
 
@@ -184,12 +182,9 @@ def solve_by_projection(
     puzzle: Board,
     clue_mask: ClueMask,
     config: ProjectionConfig | None = None,
-    diagnostics: list[tuple[int, float, int]] | None = None,
 ) -> SolveReport:
     """Alternating projections from the origin, testing the rounding after
-    every sweep; stops on a solved rounding, a stalled sweep, or the sweep cap.
-    ``diagnostics`` collects (sweep, max_change, rounded_cost) rows when
-    supplied."""
+    every sweep; stops on a solved rounding, a stalled sweep, or the sweep cap."""
     cfg = config or ProjectionConfig()
     start = time.perf_counter()
     tensor, plan = build_constraint_plan(puzzle, clue_mask)
@@ -200,8 +195,6 @@ def solve_by_projection(
     while not solved and sweeps < cfg.max_sweeps and max_change >= cfg.stall_tolerance:
         tensor, max_change = sweep(tensor, plan)
         sweeps += 1
-        if diagnostics is not None:
-            diagnostics.append((sweeps, max_change, violation_cost(round_tensor(tensor))))
         solved = _rounds_solved(tensor)
     board = round_tensor(tensor)
     solved = is_solved(board)

@@ -114,8 +114,8 @@ def _live_draws(monkeypatch, board, mask, iterations, seed=0):
     monkeypatch.setattr(annealing, "initial_board", lambda puzzle, clue_mask, rng: puzzle)
     slots = []
 
-    def recording_bisect(cum, x):
-        slots.append(bisect.bisect_right(cum, x))
+    def recording_bisect(cum, x, *bounds):
+        slots.append(bisect.bisect_right(cum, x, *bounds))
         return slots[-1]
 
     monkeypatch.setattr(annealing, "bisect_right", recording_bisect)
@@ -400,11 +400,11 @@ class TestDrawTable:
 
         draws = 0
 
-        def checking_bisect(cum, x):
+        def checking_bisect(cum, x, *bounds):
             nonlocal draws
             draws += 1
             assert cum == list(itertools.accumulate(live[0]._fw))
-            return bisect.bisect_right(cum, x)
+            return bisect.bisect_right(cum, x, *bounds)
 
         monkeypatch.setattr(annealing.AnnealState, "create", recording_create)
         monkeypatch.setattr(annealing, "bisect_right", checking_bisect)

@@ -103,8 +103,9 @@ class TestSolve:
             ["--method", "projection", "--max-sweeps", "0"],
             ["--method", "annealing", "--cool", "1.5"],
             ["--method", "annealing", "--max-iters", "0"],
+            ["--method", "projection", "--tol", "nan"],
         ],
-        ids=["max-sweeps-0", "cool-1.5", "max-iters-0"],
+        ids=["max-sweeps-0", "cool-1.5", "max-iters-0", "tol-nan"],
     )
     def test_bad_config_exits_2(self, capsys, flags):
         code = run_cli(["solve", *flags, SAMPLE_PUZZLE_LINE])

@@ -60,6 +60,21 @@ def _indicator(board) -> np.ndarray:
     return t
 
 
+def _record_sweeps(monkeypatch, sweeper=sweep) -> list[tuple[int, float, int]]:
+    """Install a wrapper around ``sweeper`` as ``projections.sweep``, which
+    ``solve_by_projection`` calls; the returned list gets one (sweep,
+    max_change, rounded_cost) row per sweep, counting from 1."""
+    rows = []
+
+    def recording(tensor, plan):
+        tensor, max_change = sweeper(tensor, plan)
+        rows.append((len(rows) + 1, max_change, violation_cost(round_tensor(tensor))))
+        return tensor, max_change
+
+    monkeypatch.setattr(projections, "sweep", recording)
+    return rows
+
+
 def _fixed(plan) -> np.ndarray:
     """Flat mask of the entries that no active slice of the plan lists as free."""
     fixed = np.ones(729, dtype=bool)
@@ -222,7 +237,7 @@ class TestConstraintPlan:
             flat = tensor.reshape(-1)
             clue_ones = {i * 9 + board[i] - 1 for i in range(81) if mask[i]}
             for fam in plan.families:
-                assert np.all(flat[fam.members[~fam.free]] == 0.0)
+                assert np.all(flat[fam.members[fam.pad == -np.inf]] == 0.0)
                 assert clue_ones.isdisjoint(fam.members.reshape(-1).tolist())
 
     def test_free_members_disjoint_from_fixed(self, sample):
@@ -312,7 +327,12 @@ class TestRoundsSolved:
 class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_sweeps": 0}, {"max_sweeps": -1}, {"stall_tolerance": -1.0}],
+        [
+            {"max_sweeps": 0},
+            {"max_sweeps": -1},
+            {"stall_tolerance": -1.0},
+            {"stall_tolerance": float("nan")},
+        ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -351,10 +371,10 @@ class TestSolveByProjection:
         report = solve_by_projection(board, mask, ProjectionConfig(max_sweeps=1))
         assert report.work <= 1
 
-    def test_diagnostics_rows(self, easy_suite):
+    def test_diagnostics_rows(self, easy_suite, monkeypatch):
         _, board, mask = easy_suite.puzzles[0]
-        diag = []
-        report = solve_by_projection(board, mask, diagnostics=diag)
+        diag = _record_sweeps(monkeypatch)
+        report = solve_by_projection(board, mask)
         assert len(diag) == report.work
         sweeps = [row[0] for row in diag]
         assert sweeps == list(range(1, report.work + 1))
@@ -366,12 +386,12 @@ class TestSolveByProjection:
         puzzles = _bundled(suite)
         runs = []
         for sweeper in (sweep, per_slice_sweep):
-            monkeypatch.setattr(projections, "sweep", sweeper)
+            diag = _record_sweeps(monkeypatch, sweeper)
             run = []
             for _, board, mask in puzzles:
-                diag = []
-                report = solve_by_projection(board, mask, diagnostics=diag)
-                run.append((report.board, report.work, report.solved, diag))
+                report = solve_by_projection(board, mask)
+                run.append((report.board, report.work, report.solved, diag[:]))
+                diag.clear()
             runs.append(run)
         assert runs[0] == runs[1]
 
