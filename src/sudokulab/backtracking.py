@@ -4,6 +4,9 @@ Empty cells are ordered once, on the initial board, by ascending candidate
 list size (ties broken row-major).  The search grows a digit string along
 that order in dictionary order, abandoning a prefix the moment a placed digit
 duplicates a digit in one of its three units (read from 27 unit bitmasks).
+A step table built before the search holds, per depth, the cell, its three
+units and its digit list; each call reads its three masks once, places a digit
+by writing them with its bit, and restores them once after its digit loop.
 Without a trace hook only the digits the units still lack are tried, read from
 a 512-entry table; the rejected ones are still counted as placement attempts.
 Enumeration thus yields complete solutions in the dictionary order induced by
@@ -81,11 +84,12 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
         raise ValueError("cap must be >= 1")
     used = unit_masks(board)  # per unit, bit d set while digit d is in it
     order = order_cells(board)
+    # one step per depth: (cell, its three units, its digit list, the list's length)
     cells = [cell_index(r, c) for r, c in order.cells]
-    lists = order.lists
+    steps = [(i, *CELL_UNITS[i], ds, len(ds)) for i, ds in zip(cells, order.lists)]
     grid = list(board)
     solutions: list[Board] = []
-    n = len(cells)
+    n = len(steps)
     nodes = 0
 
     def dfs(depth: int, prefix: str) -> bool:
@@ -93,10 +97,9 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
         if depth == n:
             solutions.append(tuple(grid))
             return len(solutions) >= cap
-        i = cells[depth]
-        u0, u1, u2 = CELL_UNITS[i]
-        taken = used[u0] | used[u1] | used[u2]  # placements below are undone or end the search
-        digits = lists[depth]
+        i, u0, u1, u2, digits, size = steps[depth]
+        a, b, c = used[u0], used[u1], used[u2]  # restored after the loop, or the search ends
+        taken = a | b | c
         # untraced, only the digits the units lack are tried: as used only gains
         # bits along a path, they are the feasible part of digits, in order.  Each
         # call counts its attempts, rejected ones too: all of its digits, or
@@ -110,12 +113,12 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
                 if taken & bit:
                     continue
             grid[i] = d  # every cell below is rewritten before the grid is copied
-            used[u0], used[u1], used[u2] = used[u0] | bit, used[u1] | bit, used[u2] | bit
+            used[u0], used[u1], used[u2] = a | bit, b | bit, c | bit
             if dfs(depth + 1, grown):
                 nodes += digits.index(d) + 1
                 return True
-            used[u0], used[u1], used[u2] = used[u0] ^ bit, used[u1] ^ bit, used[u2] ^ bit
-        nodes += len(digits)
+        used[u0], used[u1], used[u2] = a, b, c
+        nodes += size
         return False
 
     dfs(0, "")

@@ -116,6 +116,7 @@ def run_bench(
 ) -> list[BenchRecord]:
     """One report per (puzzle, method), each with its method's default config;
     annealing is seeded with base_seed + puzzle index, whatever the run order.
+    With ``jobs`` > 1 the runs go to a pool of at most one worker per run.
     Every claimed solution is re-checked here; a board failing the check
     is demoted to unsolved rather than trusted."""
     if not suite.puzzles or not methods:
@@ -134,7 +135,7 @@ def run_bench(
         (p, m, meth, annealing.AnnealConfig(seed=base_seed + pid) if meth == "annealing" else None)
         for pid, p, m, meth in tasks
     ]
-    reports = _pooled(job_args, jobs) if jobs > 1 else [_run_job(a) for a in job_args]
+    reports = _pooled(job_args, min(jobs, len(job_args))) if jobs > 1 else [_run_job(a) for a in job_args]
 
     records = []
     for (pid, puzzle, mask, method), report in zip(tasks, reports):

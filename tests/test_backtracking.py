@@ -190,6 +190,22 @@ class TestLackingDigits:
         assert not all(events)  # some digits were rejected, and counted
 
 
+class TestStepTable:
+    """The untraced search, which restores a cell's unit masks once after its
+    digit loop, against the traced search, which tries every listed digit."""
+
+    def test_matches_traced_search_on_bundled_boards(self, easy_suite, medium_suite):
+        hard = load_suite(suite_path("hard"), "hard").puzzles
+        puzzles = [p[1:] for suite in (easy_suite, medium_suite) for p in suite.puzzles]
+        puzzles += [hard[1][1:], hard[4][1:]]
+        for board, mask in puzzles:
+            for cap in (1, 2):
+                calls = []
+                traced = enumerate_solutions(board, mask, cap, trace=lambda p, ok: calls.append(ok))
+                assert backtracking._search(board, cap, None) == (traced, len(calls))
+                assert len(traced) == 1
+
+
 class TestTrace:
     def test_prefix_growth_on_sample(self, sample):
         # frozen replay of the search head: the three forced cells, then

@@ -213,6 +213,31 @@ class TestRunBench:
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             run_bench(_tiny(easy_suite), methods=("backtracking",), jobs=jobs)
 
+    def test_pool_bounded_by_runs(self, easy_suite, monkeypatch):
+        asked = []
+
+        def recording(max_workers):
+            asked.append(max_workers)
+            return ProcessPoolExecutor(max_workers=max_workers)
+
+        monkeypatch.setattr("sudokulab.bench.ProcessPoolExecutor", recording)
+        one = PuzzleSuite("easy", easy_suite.puzzles[:1])
+        records = run_bench(one, methods=("backtracking",), jobs=4)
+        assert asked == [1] and records[0].report.solved
+
+    def test_large_job_count_asks_for_one_worker_per_run(self, easy_suite, monkeypatch):
+        # the stand-in records the request and stops before any process starts
+        asked = []
+
+        def refusing(max_workers):
+            asked.append(max_workers)
+            raise RuntimeError("no pool in this test")
+
+        monkeypatch.setattr("sudokulab.bench.ProcessPoolExecutor", refusing)
+        with pytest.raises(RuntimeError, match="no pool"):
+            run_bench(_tiny(easy_suite), methods=("backtracking", "projection"), jobs=10**6)
+        assert asked == [2 * len(_tiny(easy_suite).puzzles)]
+
     def test_parallel_matches_serial(self, easy_suite):
         suite = _tiny(easy_suite)
         methods = ("backtracking", "projection")
