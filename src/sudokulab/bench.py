@@ -2,13 +2,8 @@
 claimed solution independently, and summarize success rates and timings."""
 from __future__ import annotations
 
-import csv
-import statistics
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
-from . import annealing, backtracking
 from .board import Board, ClueMask, clues_respected, is_solved, parse_puzzle, PuzzleError
 from .report import SolveReport
 
@@ -61,10 +56,14 @@ def load_suite(path, name: str) -> PuzzleSuite:
 def solve(method: str, puzzle: Board, mask: ClueMask, config=None) -> SolveReport:
     """Run one method on one puzzle.  ``config`` is the method's config
     object (``AnnealConfig`` or ``ProjectionConfig``), None for its
-    defaults; backtracking takes none."""
+    defaults; backtracking takes none.  A run imports only the solver it calls."""
     if method == "backtracking":
+        from . import backtracking
+
         return backtracking.solve(puzzle, mask)
     if method == "annealing":
+        from . import annealing
+
         return annealing.anneal(puzzle, mask, config)
     if method == "projection":
         from . import projections  # the only solver that needs numpy
@@ -93,6 +92,9 @@ def _pooled(job_args, workers: int) -> list[SolveReport]:
     breaks the pool and loses every run still open or submitted after it; in
     a larger pool each lost run gets one more try, alone in a fresh pool, so
     only a run that kills its own worker becomes an error report."""
+    from concurrent.futures import Future, ProcessPoolExecutor  # loads multiprocessing
+    from concurrent.futures.process import BrokenProcessPool
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = []
         for a in job_args:
@@ -126,13 +128,15 @@ def run_bench(
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
+    from .annealing import AnnealConfig
+
     tasks = [
         (pid, puzzle, mask, method)
         for method in methods
         for pid, puzzle, mask in suite.puzzles
     ]
     job_args = [
-        (p, m, meth, annealing.AnnealConfig(seed=base_seed + pid) if meth == "annealing" else None)
+        (p, m, meth, AnnealConfig(seed=base_seed + pid) if meth == "annealing" else None)
         for pid, p, m, meth in tasks
     ]
     reports = _pooled(job_args, min(jobs, len(job_args))) if jobs > 1 else [_run_job(a) for a in job_args]
@@ -150,6 +154,8 @@ def run_bench(
 def summarize(records: list[BenchRecord]) -> list[SummaryStats]:
     """Per (suite, method) success rate plus timing stats over solved runs
     only; the median of an even count is the mean of the middle pair."""
+    import statistics
+
     if not records:
         raise ValueError("no records to summarize")
     groups: dict[tuple[str, str], list[BenchRecord]] = {}
@@ -181,6 +187,8 @@ def _fmt(t: float | None) -> str:
 
 
 def export_reports_csv(records: list[BenchRecord], path) -> None:
+    import csv
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORTS_HEADER.split(","))
@@ -200,6 +208,8 @@ def export_reports_csv(records: list[BenchRecord], path) -> None:
 
 
 def export_stats_csv(stats: list[SummaryStats], path) -> None:
+    import csv
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(STATS_HEADER.split(","))

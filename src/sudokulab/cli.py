@@ -10,7 +10,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import annealing, backtracking, bench
+from . import bench
 from .board import PuzzleError, parse_puzzle, render_board
 
 
@@ -68,7 +68,7 @@ def _solve_config(args):
     """The chosen method's config, with the fields of the flags the user
     set; None when the method takes no config."""
     if args.method == "annealing":
-        cls = annealing.AnnealConfig
+        from .annealing import AnnealConfig as cls
     elif args.method == "projection":
         from .projections import ProjectionConfig as cls
     else:
@@ -77,7 +77,7 @@ def _solve_config(args):
     kwargs = {name: value for name, value in flags.items() if value is not None}
     if "max_iterations" in kwargs:
         # a cap below the default reset point moves the reset to the cap
-        kwargs["reset_at"] = min(annealing.AnnealConfig.reset_at, kwargs["max_iterations"])
+        kwargs["reset_at"] = min(cls.reset_at, kwargs["max_iterations"])
     return cls(**kwargs)
 
 
@@ -96,6 +96,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import backtracking
+
     puzzle, mask = _read_puzzle(args)
     solutions = backtracking.enumerate_solutions(puzzle, mask, cap=2)
     if len(solutions) == 0:

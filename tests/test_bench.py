@@ -192,7 +192,7 @@ class TestRunBench:
         monkeypatch.setattr("sudokulab.backtracking.solve", dying)
         # forked workers inherit the patched solver, whatever the default start method
         fork = multiprocessing.get_context("fork")
-        monkeypatch.setattr("sudokulab.bench.ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=fork))
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=fork))
         records = run_bench(suite, methods=methods, jobs=2)
         assert [(r.puzzle_id, r.report.method) for r in records] == [
             (pid, method) for method in methods for pid in range(5)
@@ -220,7 +220,7 @@ class TestRunBench:
             asked.append(max_workers)
             return ProcessPoolExecutor(max_workers=max_workers)
 
-        monkeypatch.setattr("sudokulab.bench.ProcessPoolExecutor", recording)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", recording)
         one = PuzzleSuite("easy", easy_suite.puzzles[:1])
         records = run_bench(one, methods=("backtracking",), jobs=4)
         assert asked == [1] and records[0].report.solved
@@ -233,7 +233,7 @@ class TestRunBench:
             asked.append(max_workers)
             raise RuntimeError("no pool in this test")
 
-        monkeypatch.setattr("sudokulab.bench.ProcessPoolExecutor", refusing)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refusing)
         with pytest.raises(RuntimeError, match="no pool"):
             run_bench(_tiny(easy_suite), methods=("backtracking", "projection"), jobs=10**6)
         assert asked == [2 * len(_tiny(easy_suite).puzzles)]

@@ -249,6 +249,24 @@ def test_cli_and_bench_import_without_numpy():
     assert out.stdout.strip() == "False"
 
 
+def test_cold_start_loads_only_what_the_command_uses():
+    # the process pool is for bench --jobs >1, statistics and csv for summaries
+    # and exports, and each solver for the runs that call it
+    src = Path(sudokulab.__file__).resolve().parents[1]
+    code = (
+        "import sys, sudokulab.cli, sudokulab.bench\n"
+        "names = ('concurrent.futures', 'multiprocessing', 'statistics', 'csv',\n"
+        "         'sudokulab.annealing', 'numpy')\n"
+        "print(sorted(n for n in names if n in sys.modules))\n"
+        f"sudokulab.cli.run_cli(['verify', {SAMPLE_PUZZLE_LINE!r}])\n"
+        "print('sudokulab.annealing' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.splitlines() == ["[]", "multiple", "False"]
+
+
 class TestUsage:
     def test_no_command_exits_2(self, capsys):
         assert run_cli([]) == 2
