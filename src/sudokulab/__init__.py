@@ -2,32 +2,7 @@
 backtracking, Metropolis simulated annealing, and alternating projections
 onto a continuous probability-tensor relaxation."""
 
-from .board import (
-    Board,
-    CellRef,
-    ClueMask,
-    PuzzleError,
-    candidates,
-    cell_violation_degree,
-    is_solved,
-    parse_puzzle,
-    render_board,
-    violation_cost,
-)
+from .board import parse_puzzle
 from .report import SolveReport
-
-__all__ = [
-    "Board",
-    "CellRef",
-    "ClueMask",
-    "PuzzleError",
-    "SolveReport",
-    "candidates",
-    "cell_violation_degree",
-    "is_solved",
-    "parse_puzzle",
-    "render_board",
-    "violation_cost",
-]
 
 __version__ = "0.1.0"

@@ -42,8 +42,8 @@ class AnnealConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.initial_temperature > 0:
-            raise ValueError("initial_temperature must be positive")
+        if not 0 < self.initial_temperature < math.inf:   # NaN too
+            raise ValueError("initial_temperature must be positive and finite")
         if not 0 < self.cooling_factor < 1:
             raise ValueError("cooling_factor must lie in (0,1)")
         if self.cooling_period < 1 or self.max_iterations < 1:
@@ -102,14 +102,6 @@ def initial_board(puzzle: Board, clue_mask: ClueMask, rng: random.Random) -> Boa
             filled[i] = pool[pos]
             pos += 1
     return tuple(filled)
-
-
-def acceptance_probability(cost_current: int, cost_proposed: int, temperature: float) -> float:
-    if not temperature > 0:
-        raise ValueError("temperature must be positive")
-    if cost_proposed <= cost_current:
-        return 1.0
-    return math.exp((cost_current - cost_proposed) / temperature)
 
 
 def anneal(

@@ -163,22 +163,12 @@ def summarize(records: list[BenchRecord]) -> list[SummaryStats]:
         groups.setdefault((rec.suite, rec.report.method), []).append(rec)
     stats = []
     for (suite, method), recs in groups.items():
-        times = sorted(r.report.wall_time for r in recs if r.report.solved)
-        rate = len(times) / len(recs)
-        if times:
-            stats.append(
-                SummaryStats(
-                    suite,
-                    method,
-                    rate,
-                    min(times),
-                    statistics.median(times),
-                    statistics.fmean(times),
-                    max(times),
-                )
-            )
-        else:
-            stats.append(SummaryStats(suite, method, rate, None, None, None, None))
+        times = [r.report.wall_time for r in recs if r.report.solved]
+        timing = (
+            (min(times), statistics.median(times), statistics.fmean(times), max(times))
+            if times else (None,) * 4
+        )
+        stats.append(SummaryStats(suite, method, len(times) / len(recs), *timing))
     return stats
 
 
@@ -186,45 +176,31 @@ def _fmt(t: float | None) -> str:
     return "" if t is None else f"{t:.6f}"
 
 
-def export_reports_csv(records: list[BenchRecord], path) -> None:
+def _write_csv(path, header: str, rows) -> None:
     import csv
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(REPORTS_HEADER.split(","))
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.suite,
-                    rec.puzzle_id,
-                    rec.report.method,
-                    "true" if rec.report.solved else "false",
-                    f"{rec.report.wall_time:.6f}",
-                    rec.report.work,
-                    rec.report.final_cost,  # csv writes None as an empty field
-                    rec.report.note,
-                ]
-            )
+        writer.writerow(header.split(","))
+        writer.writerows(rows)
+
+
+def export_reports_csv(records: list[BenchRecord], path) -> None:
+    _write_csv(path, REPORTS_HEADER, (
+        (rec.suite, rec.puzzle_id, rec.report.method, "true" if rec.report.solved else "false",
+         f"{rec.report.wall_time:.6f}", rec.report.work,
+         rec.report.final_cost,  # csv writes None as an empty field
+         rec.report.note)
+        for rec in records
+    ))
 
 
 def export_stats_csv(stats: list[SummaryStats], path) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STATS_HEADER.split(","))
-        for s in stats:
-            writer.writerow(
-                [
-                    s.suite,
-                    s.method,
-                    f"{s.success_rate:.6f}",
-                    _fmt(s.time_min),
-                    _fmt(s.time_median),
-                    _fmt(s.time_mean),
-                    _fmt(s.time_max),
-                ]
-            )
+    _write_csv(path, STATS_HEADER, (
+        (s.suite, s.method, f"{s.success_rate:.6f}",
+         _fmt(s.time_min), _fmt(s.time_median), _fmt(s.time_mean), _fmt(s.time_max))
+        for s in stats
+    ))
 
 
 def format_stats_table(stats: list[SummaryStats]) -> str:

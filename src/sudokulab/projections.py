@@ -65,8 +65,8 @@ class ProjectionConfig:
     def __post_init__(self) -> None:
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be positive")
-        if not self.stall_tolerance >= 0:   # NaN too
-            raise ValueError("stall_tolerance must be nonnegative")
+        if not 0 <= self.stall_tolerance < np.inf:   # NaN too
+            raise ValueError("stall_tolerance must be nonnegative and finite")
 
 
 def project_simplex(point) -> np.ndarray:

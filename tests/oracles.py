@@ -2,6 +2,7 @@
 package; deliberately simple and slow."""
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -140,6 +141,15 @@ def weighted_pair(weights, rng):
     while b == a:
         b = weighted_draw(weights, rng)
     return a, b
+
+
+def acceptance_probability(cost_current, cost_proposed, temperature):
+    """The Metropolis rule: min{exp((cost_current - cost_proposed)/temperature), 1}."""
+    if not temperature > 0:
+        raise ValueError("temperature must be positive")
+    if cost_proposed <= cost_current:
+        return 1.0
+    return math.exp((cost_current - cost_proposed) / temperature)
 
 
 def unit_scan_digits(board):

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from sudokulab import annealing
 from sudokulab.annealing import (
     AnnealConfig,
-    acceptance_probability,
     anneal,
     initial_board,
 )
@@ -24,7 +23,7 @@ from sudokulab.board import (
     violation_cost,
 )
 
-from oracles import solve_all, weighted_pair
+from oracles import acceptance_probability, solve_all, weighted_pair
 
 _FULL = solve_all((0,) * 81, cap=1)[0]
 _FULL_MASK = (True,) * 81

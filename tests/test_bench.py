@@ -253,7 +253,7 @@ class TestClueConflict:
     with the one error of ``board.unit_masks``."""
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_same_error_for_every_method(self, method, sample):
+    def test_same_error_for_every_method(self, method, sample, tmp_path):
         board, _ = sample
         assert board[1] == 5 and board[5] == 0
         board = board[:5] + (5,) + board[6:]  # a second 5 in row 1, past the parser
@@ -264,6 +264,11 @@ class TestClueConflict:
         (record,) = run_bench(PuzzleSuite("conflict", ((0, board, mask),)), methods=(method,))
         assert not record.report.solved
         assert record.report.note == f"error: PuzzleError: {message}"
+        # the note holds a comma, so the CSV must quote it to read it back whole
+        export_reports_csv([record], tmp_path / "runs.csv")
+        with open(tmp_path / "runs.csv", newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["note"] == record.report.note
 
     @pytest.mark.parametrize("method, config", [
         ("annealing", AnnealConfig(max_iterations=100, reset_at=100)),

@@ -104,8 +104,10 @@ class TestSolve:
             ["--method", "annealing", "--cool", "1.5"],
             ["--method", "annealing", "--max-iters", "0"],
             ["--method", "projection", "--tol", "nan"],
+            ["--method", "annealing", "--t0", "inf"],
+            ["--method", "projection", "--tol", "inf"],
         ],
-        ids=["max-sweeps-0", "cool-1.5", "max-iters-0", "tol-nan"],
+        ids=["max-sweeps-0", "cool-1.5", "max-iters-0", "tol-nan", "t0-inf", "tol-inf"],
     )
     def test_bad_config_exits_2(self, capsys, flags):
         code = run_cli(["solve", *flags, SAMPLE_PUZZLE_LINE])
@@ -265,6 +267,16 @@ def test_cold_start_loads_only_what_the_command_uses():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.splitlines() == ["[]", "multiple", "False"]
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark imports SolveReport and parse_puzzle from the package top
+    # level and runs each workload's first operation through its own checker
+    selftest = Path(__file__).resolve().parents[1] / "benchmark" / "selftest.py"
+    out = subprocess.run([sys.executable, str(selftest)], capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.splitlines()[-1] == "0 problem(s)"
 
 
 class TestUsage:
