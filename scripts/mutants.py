@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Mutation check: every mutant in ``MUTANTS`` must make its tests fail.
+
+    python3 scripts/mutants.py
+
+A mutant is one exact edit of one file: its old text, which must occur
+exactly once, becomes its new text.  For each mutant the script extracts the
+committed tree (``git archive HEAD``, so commit before running) into a fresh
+temporary directory, applies the edit there and runs ``pytest -x -q`` on the
+mutant's test files with that copy's ``src`` first on ``PYTHONPATH``.  The
+mutant is killed when pytest reports a failed test (exit code 1).  The script
+prints one line per mutant and a summary line, and exits 1 if a mutant
+survives, pytest cannot run its tests, or an old text does not occur exactly
+once; 0 otherwise.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str                # file to edit, relative to the repo root
+    old: str                 # exact text, which must occur once in the file
+    new: str
+    tests: tuple[str, ...]   # test files that must fail on the mutant
+
+
+MUTANTS = (
+    Mutant("raw input: float type test dropped", "src/sudokulab/board.py",
+           " or set(map(type, puzzle)) != _INT:", ":",
+           ("tests/test_bench.py",)),
+    Mutant("raw input: whole puzzle returned, not its clue cells", "src/sudokulab/board.py",
+           "    return tuple(d if c else 0 for d, c in zip(puzzle, clue_mask))", "    return puzzle",
+           ("tests/test_board.py", "tests/test_bench.py")),
+    Mutant("clue check: subgrid term dropped", "src/sudokulab/board.py",
+           "(used[u0] | used[u1] | used[u2]) & bit", "(used[u0] | used[u1]) & bit",
+           ("tests/test_board.py",)),
+    Mutant("exact search: unit masks not restored", "src/sudokulab/backtracking.py",
+           "        used[u0], used[u1], used[u2] = a, b, c\n", "",
+           ("tests/test_backtracking.py",)),
+    Mutant("exact search: lacking-digit table indexed unshifted", "src/sudokulab/backtracking.py",
+           "_LACKING[taken >> 1]", "_LACKING[taken]",
+           ("tests/test_backtracking.py",)),
+    Mutant("annealing: draw-table rebuild starts from a stale sum", "src/sudokulab/annealing.py",
+           "cum[lo - 1] + fw[lo]", "cum[lo]",
+           ("tests/test_annealing.py",)),
+    Mutant("bench: no fresh-pool retry of a lost run", "src/sudokulab/bench.py",
+           "_pooled([a], 1)[0] if workers > 1 else ", "",
+           ("tests/test_bench.py",)),
+    Mutant("projection: slice families reversed", "src/sudokulab/projections.py",
+           '_FAMILIES = ("row", "column", "subgrid", "cell")', '_FAMILIES = ("cell", "subgrid", "column", "row")',
+           ("tests/test_projections.py",)),
+)
+
+
+def run(mutant: Mutant, archive: bytes) -> str:
+    """``killed``, ``SURVIVED`` or the reason the mutant could not be tried."""
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        target = Path(tmp) / mutant.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return f"ERROR: old text occurs {text.count(mutant.old)} times in {mutant.path}"
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+                              cwd=tmp, env=env, capture_output=True, text=True)
+    if proc.returncode == 1:
+        return "killed"
+    if proc.returncode == 0:
+        return "SURVIVED"
+    last = proc.stdout.strip().splitlines()[-1:] or [""]
+    return f"ERROR: pytest exit code {proc.returncode}: {last[0]}"
+
+
+def main() -> int:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "HEAD"], check=True, capture_output=True).stdout
+    outcomes = []
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        outcomes.append(run(mutant, archive))
+        print(f"{outcomes[-1]:<9} {mutant.name} ({time.perf_counter() - start:.1f} s)", flush=True)
+    killed = outcomes.count("killed")
+    print(f"mutants: {killed} of {len(MUTANTS)} killed, {outcomes.count('SURVIVED')} survived, "
+          f"{len(MUTANTS) - killed - outcomes.count('SURVIVED')} not tried")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,7 +23,8 @@ from .board import (
     CELL_UNITS,
     ClueMask,
     UNITS,
-    clue_unit_masks,
+    check_clue_mask,
+    unit_masks,
     violation_cost,
 )
 from .report import SolveReport
@@ -91,8 +92,8 @@ class AnnealState:
 def initial_board(puzzle: Board, clue_mask: ClueMask, rng: random.Random) -> Board:
     """Fill the empty cells with a random permutation of the digits missing
     from each row's clues, which gives every digit exactly nine occurrences.
-    Raises ``PuzzleError`` for input that ``clue_unit_masks`` rejects."""
-    rows = clue_unit_masks(puzzle, clue_mask)[:9]
+    Raises ``PuzzleError`` for input ``check_clue_mask`` or ``unit_masks`` rejects."""
+    rows = unit_masks(check_clue_mask(puzzle, clue_mask))[:9]
     pool = [d for d in range(1, 10) for used in rows if not used >> d & 1]
     rng.shuffle(pool)
     filled = list(puzzle)

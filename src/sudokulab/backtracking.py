@@ -71,11 +71,10 @@ def enumerate_solutions(
     """Return up to ``cap`` complete solutions in dictionary order.
 
     Returns fewer than ``cap`` boards iff the whole search tree was
-    exhausted, which proves no further solution exists.  Raises
-    ``PuzzleError`` for input that ``check_clue_mask`` or ``unit_masks`` rejects.
+    exhausted, which proves no further solution exists.  Searches the board
+    ``check_clue_mask`` returns; raises ``PuzzleError`` as it or ``unit_masks`` does.
     """
-    check_clue_mask(board, clue_mask)
-    return _search(board, cap, trace)[0]
+    return _search(check_clue_mask(board, clue_mask), cap, trace)[0]
 
 
 def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board], int]:
@@ -129,8 +128,7 @@ def solve(board: Board, clue_mask: ClueMask) -> SolveReport:
     """First solution (or failure) with a work count of placement attempts,
     the calls a ``trace`` hook would receive.  Raises ``PuzzleError`` as ``enumerate_solutions`` does."""
     start = time.perf_counter()
-    check_clue_mask(board, clue_mask)
-    found, nodes = _search(board, 1, None)
+    found, nodes = _search(check_clue_mask(board, clue_mask), 1, None)
     elapsed = time.perf_counter() - start
     if found:
         return SolveReport("backtracking", True, found[0], elapsed, nodes, final_cost=0)

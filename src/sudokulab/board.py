@@ -86,8 +86,7 @@ def parse_puzzle(text: str) -> tuple[Board, ClueMask]:
 def unit_masks(board: Board) -> list[int]:
     """The 27 unit masks of a board, bit d of mask u set when a filled cell
     of unit u holds digit d.  The one clue check: raises ``PuzzleError``
-    when a unit repeats a digit, or unless the board is 81 ints in 0-9."""
-    _check_board(board)
+    when a unit repeats a digit; the types are ``check_clue_mask``'s to check."""
     used = [0] * 27
     for i, d in enumerate(board):
         if d:
@@ -100,27 +99,19 @@ def unit_masks(board: Board) -> list[int]:
     return used
 
 
-def _check_board(board: Board) -> None:
+def check_clue_mask(puzzle: Board, clue_mask: ClueMask) -> Board:
+    """The one check of raw input; returns the puzzle every method solves, the
+    clue cells with 0 elsewhere.  Raises ``PuzzleError`` unless the puzzle is 81
+    ints in 0-9 and the mask has 81 entries, none marking an empty cell as a clue."""
     # a float such as 1.0 equals an int digit, so the types are checked too
-    if len(board) != 81 or not _VALUES.issuperset(board) or set(map(type, board)) != _INT:
+    if len(puzzle) != 81 or not _VALUES.issuperset(puzzle) or set(map(type, puzzle)) != _INT:
         raise PuzzleError("a board must be 81 ints in 0-9")
-
-
-def check_clue_mask(puzzle: Board, clue_mask: ClueMask) -> None:
-    """Raise ``PuzzleError`` unless the puzzle is 81 ints in 0-9 and the
-    mask has 81 entries, none marking an empty cell as a clue."""
-    _check_board(puzzle)
     if len(clue_mask) != 81:
         raise PuzzleError(f"a clue mask must have 81 entries, got {len(clue_mask)}")
     for i, c in enumerate(clue_mask):
         if c and not puzzle[i]:
             raise PuzzleError(f"clue mask marks the empty cell {cell_ref(i)} as a clue")
-
-
-def clue_unit_masks(puzzle: Board, clue_mask: ClueMask) -> list[int]:
-    """``unit_masks`` of the clue cells alone, after ``check_clue_mask``."""
-    check_clue_mask(puzzle, clue_mask)
-    return unit_masks(tuple(d if c else 0 for d, c in zip(puzzle, clue_mask)))
+    return tuple(d if c else 0 for d, c in zip(puzzle, clue_mask))
 
 
 def render_board(board: Board, style: str = "grid") -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .board import UNITS, Board, ClueMask, clue_unit_masks, is_solved, violation_cost
+from .board import UNITS, Board, ClueMask, check_clue_mask, is_solved, unit_masks, violation_cost
 from .report import SolveReport
 
 
@@ -129,10 +129,10 @@ def build_constraint_plan(puzzle: Board, clue_mask: ClueMask) -> tuple[np.ndarra
     four slices through it: the other eight digits of the cell, and digit
     k elsewhere in the row, the column and the subgrid.  Each slice through
     a clue is voided; the others keep their free members, and the fixed
-    entries are those that no plan slice lists as free.  ``board.clue_unit_masks``
-    rejects a mask marking an empty cell and clues repeating a digit in a unit.
+    entries are those that no plan slice lists as free.  ``board.check_clue_mask``
+    rejects a mask marking an empty cell, ``board.unit_masks`` clues repeating a digit.
     """
-    clue_unit_masks(puzzle, clue_mask)
+    unit_masks(check_clue_mask(puzzle, clue_mask))
     members, slice_of = _slice_tables()   # built on first use, not at import
     cells = np.flatnonzero(np.asarray(clue_mask, dtype=bool))
     ones = cells * 9 + np.asarray(puzzle, dtype=np.intp)[cells] - 1

@@ -24,7 +24,7 @@ from sudokulab.bench import (
     solve,
     summarize,
 )
-from sudokulab.board import PuzzleError, clues_respected, is_solved, render_board
+from sudokulab.board import PuzzleError, candidates, cell_ref, clues_respected, is_solved, render_board
 from sudokulab.projections import ProjectionConfig
 from sudokulab.report import SolveReport
 
@@ -310,6 +310,30 @@ class TestRawInput:
         assert board[0] == 1 and mask[0]
         with pytest.raises(PuzzleError, match=re.escape("a board must be 81 ints in 0-9")):
             solve(method, (1.0,) + board[1:], mask)
+
+
+class TestOneAnswer:
+    """Every method solves the clue cells alone: a filled cell the mask does
+    not mark is ignored, even when it holds a wrong digit its units allow."""
+
+    @pytest.fixture(scope="class")
+    def poisoned(self, easy_suite):
+        _, puzzle, mask = easy_suite.puzzles[0]
+        solution = backtracking.solve(puzzle, mask).board
+        wrongs = ((i, candidates(puzzle, cell_ref(i)) - {solution[i]}) for i in range(81) if not mask[i])
+        i, wrong = next((i, min(w)) for i, w in wrongs if w)
+        return puzzle, puzzle[:i] + (wrong,) + puzzle[i + 1:], mask, solution
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_same_board_and_work(self, method, poisoned):
+        puzzle, dirty, mask, solution = poisoned
+        clean, report = solve(method, puzzle, mask), solve(method, dirty, mask)
+        assert report.solved and report.board == clean.board == solution
+        assert report.work == clean.work
+
+    def test_enumeration_finds_the_one_solution(self, poisoned):
+        _, dirty, mask, solution = poisoned
+        assert backtracking.enumerate_solutions(dirty, mask, cap=2) == [solution]
 
 
 def _record(suite, pid, method, solved, t):

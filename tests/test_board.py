@@ -11,6 +11,7 @@ from sudokulab.board import (
     cell_index,
     cell_ref,
     cell_violation_degree,
+    check_clue_mask,
     digit_histogram,
     is_solved,
     parse_puzzle,
@@ -192,7 +193,14 @@ class TestUnitMasks:
                              ids=["80 cells", "82 cells", "a 10", "a -1", "a string"])
     def test_rejects_malformed_board(self, board):
         with pytest.raises(PuzzleError, match="a board must be 81 ints in 0-9"):
-            unit_masks(board)
+            check_clue_mask(board, (False,) * 81)
+
+
+class TestCheckClueMask:
+    def test_returns_the_clue_cells(self):
+        mask = tuple(i % 4 == 0 for i in range(81))
+        clues = check_clue_mask(_FULL_BOARD, mask)
+        assert clues == tuple(d if c else 0 for d, c in zip(_FULL_BOARD, mask))
 
 
 class TestIsSolved:
