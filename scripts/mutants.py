@@ -59,6 +59,29 @@ MUTANTS = (
     Mutant("projection: slice families reversed", "src/sudokulab/projections.py",
            '_FAMILIES = ("row", "column", "subgrid", "cell")', '_FAMILIES = ("cell", "subgrid", "column", "row")',
            ("tests/test_projections.py",)),
+    Mutant("projection: sweep projects without the fixed members' pad", "src/sudokulab/projections.py",
+           "project_simplex(y + fam.pad)", "project_simplex(y)",
+           ("tests/test_projections.py",)),
+    Mutant("projection: solved test takes any in place of all", "src/sudokulab/projections.py",
+           "== np.arange(9)).all())", "== np.arange(9)).any())",
+           ("tests/test_projections.py",)),
+    Mutant("projection: config _make unchecked", "src/sudokulab/projections.py",
+           "    @classmethod\n    def _make(cls, iterable) -> \"ProjectionConfig\":\n"
+           "        return cls(*iterable)   # checked; _replace builds through here too\n", "",
+           ("tests/test_projections.py",)),
+    Mutant("annealing: config _make unchecked", "src/sudokulab/annealing.py",
+           "    @classmethod\n    def _make(cls, iterable) -> \"AnnealConfig\":\n"
+           "        return cls(*iterable)   # checked; _replace builds through here too\n", "",
+           ("tests/test_annealing.py",)),
+    Mutant("bench: claimed solutions not re-checked", "src/sudokulab/bench.py",
+           'report = report._replace(solved=False, note="failed independent re-check")', "pass",
+           ("tests/test_bench.py",)),
+    Mutant("bench: process pool imported at the top", "src/sudokulab/bench.py",
+           "from typing import NamedTuple\n", "from concurrent.futures import ProcessPoolExecutor\nfrom typing import NamedTuple\n",
+           ("tests/test_cli.py",)),
+    Mutant("report: dataclasses imported at the top", "src/sudokulab/report.py",
+           "from typing import NamedTuple\n", "from dataclasses import dataclass\nfrom typing import NamedTuple\n",
+           ("tests/test_cli.py",)),
 )
 
 

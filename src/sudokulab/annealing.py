@@ -15,8 +15,7 @@ import math
 import random
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .board import (
     Board,
@@ -33,8 +32,7 @@ from .report import SolveReport
 _EXP_DEGREE = [math.exp(i) for i in range(4)]
 
 
-@dataclass(frozen=True)
-class AnnealConfig:
+class _AnnealFields(NamedTuple):
     initial_temperature: float = 200.0
     cooling_factor: float = 0.99
     cooling_period: int = 50
@@ -42,7 +40,12 @@ class AnnealConfig:
     reset_at: int = 100_000
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class AnnealConfig(_AnnealFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "AnnealConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.initial_temperature < math.inf:   # NaN too
             raise ValueError("initial_temperature must be positive and finite")
         if not 0 < self.cooling_factor < 1:
@@ -51,32 +54,27 @@ class AnnealConfig:
             raise ValueError("cooling_period and max_iterations must be positive")
         if not 1 <= self.reset_at <= self.max_iterations:
             raise ValueError("reset_at must lie in [1, max_iterations]")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "AnnealConfig":
+        return cls(*iterable)   # checked; _replace builds through here too
 
 
-@dataclass
 class AnnealState:
-    board: list[int]
-    cost: int
-    temperature: float
-    iteration: int
-    rng: random.Random
-    # caches kept consistent by the annealing loop, which maps each free cell
-    # to its slot in _free itself; an accepted swap of da and db re-weighs
-    # only the free cells of the two cells' units that hold da or db, and the
-    # draw table is rebuilt from the lowest such slot
-    _counts: list[list[int]] = field(repr=False, default_factory=list)  # 27 x 10 digit counts
-    _free: list[int] = field(repr=False, default_factory=list)          # non-clue cell indices
-    _fw: list[float] = field(repr=False, default_factory=list)          # weight per free slot
+    def __init__(self, board: list[int], cost: int, temperature: float, iteration: int, rng: random.Random) -> None:
+        self.board, self.cost, self.temperature, self.iteration, self.rng = board, cost, temperature, iteration, rng
+        # caches kept consistent by the annealing loop, which maps each free
+        # cell to its slot in _free itself; an accepted swap of da and db
+        # re-weighs only the free cells of the two cells' units that hold da
+        # or db, and the draw table is rebuilt from the lowest such slot
+        self._counts: list[list[int]] = []   # 27 x 10 digit counts
+        self._free: list[int] = []           # non-clue cell indices
+        self._fw: list[float] = []           # weight per free slot
 
     @classmethod
     def create(cls, board: Board, clue_mask: ClueMask, config: AnnealConfig, rng: random.Random) -> "AnnealState":
-        state = cls(
-            board=list(board),
-            cost=violation_cost(board),
-            temperature=config.initial_temperature,
-            iteration=0,
-            rng=rng,
-        )
+        state = cls(list(board), violation_cost(board), config.initial_temperature, 0, rng)
         counts = state._counts = [[0] * 10 for _ in range(27)]
         for i, d in enumerate(state.board):
             for u in CELL_UNITS[i]:

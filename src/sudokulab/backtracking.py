@@ -15,9 +15,8 @@ the cell ordering; exhausting the tree proves uniqueness or unsatisfiability.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import reduce
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .board import (
     CELL_UNITS,
@@ -42,8 +41,7 @@ TraceHook = Callable[[str, bool], None]
 _LACKING: list[tuple[int, ...]] = reduce(lambda t, d: [x + (d,) for x in t] + t, range(1, 10), [()])
 
 
-@dataclass(frozen=True)
-class SearchOrder:
+class SearchOrder(NamedTuple):
     cells: list[CellRef]          # empty cells, sorted by |candidates| then row-major
     lists: list[tuple[int, ...]]  # initial candidate list per cell, ascending digits
 

@@ -2,7 +2,7 @@
 claimed solution independently, and summarize success rates and timings."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .board import Board, ClueMask, clues_respected, is_solved, parse_puzzle, PuzzleError
 from .report import SolveReport
@@ -13,21 +13,18 @@ REPORTS_HEADER = "suite,puzzle_id,method,solved,wall_time_s,work,final_cost,note
 STATS_HEADER = "suite,method,success_rate,min_s,median_s,mean_s,max_s"
 
 
-@dataclass(frozen=True)
-class PuzzleSuite:
+class PuzzleSuite(NamedTuple):
     name: str
     puzzles: tuple[tuple[int, Board, ClueMask], ...]
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     suite: str
     puzzle_id: int
     report: SolveReport
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+class SummaryStats(NamedTuple):
     suite: str
     method: str
     success_rate: float
@@ -146,7 +143,7 @@ def run_bench(
         if report.solved and not (
             is_solved(report.board) and clues_respected(report.board, puzzle, mask)
         ):
-            report = replace(report, solved=False, note="failed independent re-check")
+            report = report._replace(solved=False, note="failed independent re-check")
         records.append(BenchRecord(suite.name, pid, report))
     return records
 

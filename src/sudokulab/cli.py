@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import bench
@@ -73,11 +72,11 @@ def _solve_config(args):
         from .projections import ProjectionConfig as cls
     else:
         return None
-    flags = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    flags = {name: getattr(args, name, None) for name in cls._fields}
     kwargs = {name: value for name, value in flags.items() if value is not None}
     if "max_iterations" in kwargs:
         # a cap below the default reset point moves the reset to the cap
-        kwargs["reset_at"] = min(cls.reset_at, kwargs["max_iterations"])
+        kwargs["reset_at"] = min(cls._field_defaults["reset_at"], kwargs["max_iterations"])
     return cls(**kwargs)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,15 +25,13 @@ from .board import UNITS, Board, ClueMask, check_clue_mask, is_solved, unit_mask
 from .report import SolveReport
 
 
-@dataclass(frozen=True)
-class ConstraintSlice:
+class ConstraintSlice(NamedTuple):
     kind: str                  # "row" | "column" | "subgrid" | "cell"
     members: tuple[int, ...]   # 9 flat indices into the 729-vector
     free: tuple[int, ...]      # members still free after clue elimination
 
 
-@dataclass(frozen=True, eq=False)
-class SliceFamily:
+class SliceFamily(NamedTuple):
     """The active slices of one family, padded to 9 members each; the
     slices are disjoint, so one batched projection equals projecting them
     one after another."""
@@ -42,8 +40,7 @@ class SliceFamily:
     pad: np.ndarray       # (n, 9) float, 0.0 where free and -inf where fixed
 
 
-@dataclass(frozen=True)
-class ConstraintPlan:
+class ConstraintPlan(NamedTuple):
     families: tuple[SliceFamily, ...]   # non-empty families, in sweep order
     fixed_count: int
 
@@ -57,16 +54,25 @@ class ConstraintPlan:
         )
 
 
-@dataclass(frozen=True)
-class ProjectionConfig:
+class _ProjectionFields(NamedTuple):
     max_sweeps: int = 2000
     stall_tolerance: float = 1e-9
 
-    def __post_init__(self) -> None:
+
+class ProjectionConfig(_ProjectionFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "ProjectionConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be positive")
         if not 0 <= self.stall_tolerance < np.inf:   # NaN too
             raise ValueError("stall_tolerance must be nonnegative and finite")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "ProjectionConfig":
+        return cls(*iterable)   # checked; _replace builds through here too
 
 
 def project_simplex(point) -> np.ndarray:

@@ -1,13 +1,12 @@
 """Result record shared by the three solvers and the benchmark harness."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .board import Board
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     method: str                 # "backtracking" | "annealing" | "projection"
     solved: bool
     board: Board

@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+import pickle
 import random
 import re
 import time
@@ -38,20 +39,32 @@ class TestConfig:
         assert cfg.max_iterations == 200_000
         assert cfg.reset_at == 100_000
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"initial_temperature": 0.0},
-            {"cooling_factor": 1.0},
-            {"cooling_factor": 0.0},
-            {"cooling_period": 0},
-            {"max_iterations": 0},
-            {"reset_at": 300_000},
-        ],
-    )
+    BAD = [
+        {"initial_temperature": 0.0},
+        {"cooling_factor": 1.0},
+        {"cooling_factor": 0.0},
+        {"cooling_period": 0},
+        {"max_iterations": 0},
+        {"reset_at": 300_000},
+    ]
+
+    @pytest.mark.parametrize("kwargs", BAD)
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             AnnealConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", BAD)
+    def test_replace_rejects_bad_values(self, kwargs):
+        # _replace builds through _make, which a bare NamedTuple leaves unchecked
+        with pytest.raises(ValueError) as made:
+            AnnealConfig(**kwargs)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(made.value))}$"):
+            AnnealConfig(seed=3)._replace(**kwargs)
+
+    def test_pickle_round_trip(self):
+        cfg = AnnealConfig(cooling_factor=0.9, max_iterations=500, reset_at=250, seed=7)
+        back = pickle.loads(pickle.dumps(cfg))
+        assert back == cfg and type(back) is AnnealConfig
 
 
 class TestInitialBoard:

@@ -253,20 +253,27 @@ def test_cli_and_bench_import_without_numpy():
 
 def test_cold_start_loads_only_what_the_command_uses():
     # the process pool is for bench --jobs >1, statistics and csv for summaries
-    # and exports, and each solver for the runs that call it
+    # and exports, and each solver for the runs that call it; no path needs
+    # dataclasses or the inspect module it loads
     src = Path(sudokulab.__file__).resolve().parents[1]
     code = (
         "import sys, sudokulab.cli, sudokulab.bench\n"
         "names = ('concurrent.futures', 'multiprocessing', 'statistics', 'csv',\n"
-        "         'sudokulab.annealing', 'numpy')\n"
+        "         'sudokulab.annealing', 'numpy', 'dataclasses', 'inspect')\n"
         "print(sorted(n for n in names if n in sys.modules))\n"
         f"sudokulab.cli.run_cli(['verify', {SAMPLE_PUZZLE_LINE!r}])\n"
         "print('sudokulab.annealing' in sys.modules)\n"
+        "import sudokulab.annealing\n"
+        "from sudokulab.board import parse_puzzle\n"
+        f"puzzle, mask = parse_puzzle({SAMPLE_PUZZLE_LINE!r})\n"
+        "cfg = sudokulab.annealing.AnnealConfig(max_iterations=50, reset_at=50)\n"
+        "print(sudokulab.bench.solve('annealing', puzzle, mask, cfg).work > 0)\n"
+        "print(sorted(n for n in names[-3:] if n in sys.modules))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout.splitlines() == ["[]", "multiple", "False"]
+    assert out.stdout.splitlines() == ["[]", "multiple", "False", "True", "[]"]
 
 
 def test_benchmark_selftest_passes():

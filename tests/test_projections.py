@@ -1,3 +1,6 @@
+import pickle
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -325,18 +328,34 @@ class TestRoundsSolved:
 
 
 class TestConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_sweeps": 0},
-            {"max_sweeps": -1},
-            {"stall_tolerance": -1.0},
-            {"stall_tolerance": float("nan")},
-        ],
-    )
+    BAD = [
+        {"max_sweeps": 0},
+        {"max_sweeps": -1},
+        {"stall_tolerance": -1.0},
+        {"stall_tolerance": float("nan")},
+    ]
+
+    @pytest.mark.parametrize("kwargs", BAD)
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ProjectionConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", BAD)
+    def test_replace_rejects_bad_values(self, kwargs):
+        # _replace builds through _make, which a bare NamedTuple leaves unchecked
+        with pytest.raises(ValueError) as made:
+            ProjectionConfig(**kwargs)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(made.value))}$"):
+            ProjectionConfig(max_sweeps=5)._replace(**kwargs)
+
+    def test_make_rejects_bad_values(self):
+        with pytest.raises(ValueError, match="max_sweeps must be positive"):
+            ProjectionConfig._make((0, 1e-9))
+
+    def test_pickle_round_trip(self):
+        cfg = ProjectionConfig(max_sweeps=40, stall_tolerance=1e-6)
+        back = pickle.loads(pickle.dumps(cfg))
+        assert back == cfg and type(back) is ProjectionConfig
 
 
 class TestSolveByProjection:
