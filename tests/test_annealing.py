@@ -54,12 +54,15 @@ class TestConfig:
             AnnealConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs", BAD)
-    def test_replace_rejects_bad_values(self, kwargs):
-        # _replace builds through _make, which a bare NamedTuple leaves unchecked
+    def test_replace_and_make_reject_bad_values(self, kwargs):
+        # a bare NamedTuple's _make and _replace skip __new__ and its checks
         with pytest.raises(ValueError) as made:
             AnnealConfig(**kwargs)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(made.value))}$"):
+        message = f"^{re.escape(str(made.value))}$"
+        with pytest.raises(ValueError, match=message):
             AnnealConfig(seed=3)._replace(**kwargs)
+        with pytest.raises(ValueError, match=message):
+            AnnealConfig._make({**AnnealConfig()._asdict(), **kwargs}.values())
 
     def test_pickle_round_trip(self):
         cfg = AnnealConfig(cooling_factor=0.9, max_iterations=500, reset_at=250, seed=7)

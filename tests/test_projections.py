@@ -341,16 +341,15 @@ class TestConfig:
             ProjectionConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs", BAD)
-    def test_replace_rejects_bad_values(self, kwargs):
-        # _replace builds through _make, which a bare NamedTuple leaves unchecked
+    def test_replace_and_make_reject_bad_values(self, kwargs):
+        # a bare NamedTuple's _make and _replace skip __new__ and its checks
         with pytest.raises(ValueError) as made:
             ProjectionConfig(**kwargs)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(made.value))}$"):
+        message = f"^{re.escape(str(made.value))}$"
+        with pytest.raises(ValueError, match=message):
             ProjectionConfig(max_sweeps=5)._replace(**kwargs)
-
-    def test_make_rejects_bad_values(self):
-        with pytest.raises(ValueError, match="max_sweeps must be positive"):
-            ProjectionConfig._make((0, 1e-9))
+        with pytest.raises(ValueError, match=message):
+            ProjectionConfig._make({**ProjectionConfig()._asdict(), **kwargs}.values())
 
     def test_pickle_round_trip(self):
         cfg = ProjectionConfig(max_sweeps=40, stall_tolerance=1e-6)
