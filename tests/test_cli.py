@@ -254,7 +254,7 @@ def test_cli_and_bench_import_without_numpy():
 def test_cold_start_loads_only_what_the_command_uses():
     # the process pool is for bench --jobs >1, statistics and csv for summaries
     # and exports, and each solver for the runs that call it; no path needs
-    # dataclasses or the inspect module it loads
+    # dataclasses, and only numpy, on the projection path, loads inspect
     src = Path(sudokulab.__file__).resolve().parents[1]
     code = (
         "import sys, sudokulab.cli, sudokulab.bench\n"
