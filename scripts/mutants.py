@@ -44,6 +44,9 @@ MUTANTS = (
     Mutant("clue check: subgrid term dropped", "src/sudokulab/board.py",
            "(used[u0] | used[u1] | used[u2]) & bit", "(used[u0] | used[u1]) & bit",
            ("tests/test_board.py",)),
+    Mutant("geometry: subgrid row term unscaled", "src/sudokulab/board.py",
+           "18 + i // 27 * 3 + i % 9 // 3", "18 + i // 27 + i % 9 // 3",
+           ("tests/test_board.py",)),
     Mutant("exact search: unit masks not restored", "src/sudokulab/backtracking.py",
            "        used[u0], used[u1], used[u2] = a, b, c\n", "",
            ("tests/test_backtracking.py",)),
@@ -65,6 +68,18 @@ MUTANTS = (
     Mutant("projection: solved test takes any in place of all", "src/sudokulab/projections.py",
            "== np.arange(9)).all())", "== np.arange(9)).any())",
            ("tests/test_projections.py",)),
+    Mutant("projection: slice table holds family ids, not slice ids", "src/sudokulab/projections.py",
+           "_SLICE_OF[_MEMBERS, np.arange(324)[:, None] // 81] = np.arange(324)[:, None]\n",
+           "_SLICE_OF[_MEMBERS, np.arange(324)[:, None] // 81] = np.arange(324)[:, None] // 81\n",
+           ("tests/test_projections.py",)),
+    Mutant("projection: config int check dropped", "src/sudokulab/projections.py",
+           "        if type(self.max_sweeps) is not int:   # NaN, 2.5 or True would pass the test below\n"
+           "            raise ValueError(\"max_sweeps must be an int\")\n", "",
+           ("tests/test_projections.py",)),
+    Mutant("annealing: config int check dropped", "src/sudokulab/annealing.py",
+           "        if {type(self.cooling_period), type(self.max_iterations), type(self.reset_at)} != {int}:\n"
+           "            raise ValueError(\"cooling_period, max_iterations and reset_at must be ints\")\n", "",
+           ("tests/test_annealing.py",)),
     Mutant("projection: config _make unchecked", "src/sudokulab/projections.py",
            "    @classmethod\n    def _make(cls, iterable) -> \"ProjectionConfig\":\n"
            "        return cls(*iterable)   # checked; _replace builds through here too\n", "",

@@ -32,22 +32,14 @@ def cell_ref(index: int) -> CellRef:
     return index // 9 + 1, index % 9 + 1
 
 
-def _build_units() -> list[tuple[int, ...]]:
-    rows = [tuple(range(r * 9, r * 9 + 9)) for r in range(9)]
-    cols = [tuple(range(c, 81, 9)) for c in range(9)]
-    boxes = []
-    for br in (0, 3, 6):
-        for bc in (0, 3, 6):
-            boxes.append(tuple((br + r) * 9 + (bc + c) for r in range(3) for c in range(3)))
-    return rows + cols + boxes
-
-
-#: 27 units: rows 0-8, columns 9-17, subgrids 18-26.
-UNITS: list[tuple[int, ...]] = _build_units()
-
-#: For each flat cell index, the ids of the 3 units containing it.
+#: For each flat cell index, the ids of its row (0-8), column (9-17) and subgrid (18-26).
 CELL_UNITS: list[tuple[int, int, int]] = [
-    tuple(u for u, unit in enumerate(UNITS) if i in unit) for i in range(81)
+    (i // 9, 9 + i % 9, 18 + i // 27 * 3 + i % 9 // 3) for i in range(81)
+]
+
+#: 27 units: rows 0-8, columns 9-17, subgrids 18-26, each its cells in row-major order.
+UNITS: list[tuple[int, ...]] = [
+    tuple(i for i, units in enumerate(CELL_UNITS) if u in units) for u in range(27)
 ]
 
 #: For each flat cell index, the union of the other 20 cells sharing a unit.

@@ -3,8 +3,6 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .board import Board, ClueMask, parse_puzzle
-
 #: 35-clue puzzle used throughout the tests.  Three cells are forced by
 #: their units alone: (7,4) = 7, (8,5) = 8 and (9,5) = 9.  The board has
 #: 12 completions, so it is not uniquely solvable.  It is not verbatim the
@@ -30,15 +28,6 @@ TRAPPED_BOARD_LINE = (
 
 #: The four cells causing the trapped board's two column duplicates.
 TRAPPED_DUPLICATE_CELLS = ((1, 6), (2, 5), (6, 6), (7, 5))
-
-
-def sample_puzzle() -> tuple[Board, ClueMask]:
-    return parse_puzzle(SAMPLE_PUZZLE_LINE)
-
-
-def trapped_board() -> Board:
-    # deliberately violates unit constraints, so it bypasses parse_puzzle
-    return tuple(int(ch) for ch in TRAPPED_BOARD_LINE)
 
 
 def suite_path(name: str):

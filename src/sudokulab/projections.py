@@ -64,6 +64,8 @@ class ProjectionConfig(_ProjectionFields):
 
     def __new__(cls, *args, **kwargs) -> "ProjectionConfig":
         self = super().__new__(cls, *args, **kwargs)
+        if type(self.max_sweeps) is not int:   # NaN, 2.5 or True would pass the test below
+            raise ValueError("max_sweeps must be an int")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be positive")
         if not 0 <= self.stall_tolerance < np.inf:   # NaN too
@@ -108,23 +110,20 @@ def _ranges(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _FAMILIES = ("row", "column", "subgrid", "cell")
-_UNITS = np.array(UNITS)   # (27, 9) cells of each unit
+_UNITS = np.array(UNITS, dtype=np.intp)   # (27, 9) cells of each unit
 
-
-@functools.cache
-def _slice_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The (324, 9) flat indices of the constraint slices in the fixed sweep
-    order, and the (729, 4) ids of the row, column, subgrid and cell slice
-    through each entry.  Slice u * 9 + k is digit k over ``board.UNITS[u]``,
-    in its order, so rows, columns and subgrids come 81 each as the units
-    do; slice 243 + c lists the nine digits of cell c."""
-    unit_digit = np.array(UNITS, dtype=np.intp)[:, None, :] * 9 + np.arange(9)[:, None]   # unit, digit, position
-    members = np.concatenate([unit_digit.reshape(243, 9), np.arange(729).reshape(81, 9)])
-    ids = np.arange(324)
-    slice_of = np.empty((729, 4), dtype=np.intp)
-    slice_of[members, ids[:, None] // 81] = ids[:, None]
-    members.flags.writeable = slice_of.flags.writeable = False
-    return members, slice_of
+#: The (324, 9) flat indices of the constraint slices in the fixed sweep
+#: order.  Slice u * 9 + k is digit k over ``board.UNITS[u]``, in its order,
+#: so rows, columns and subgrids come 81 each as the units do; slice 243 + c
+#: lists the nine digits of cell c.
+_MEMBERS = np.concatenate([
+    (_UNITS[:, None, :] * 9 + np.arange(9)[:, None]).reshape(243, 9),   # unit, digit, position
+    np.arange(729).reshape(81, 9),
+])
+#: The (729, 4) ids of the row, column, subgrid and cell slice through each entry.
+_SLICE_OF = np.empty((729, 4), dtype=np.intp)
+_SLICE_OF[_MEMBERS, np.arange(324)[:, None] // 81] = np.arange(324)[:, None]
+_UNITS.flags.writeable = _MEMBERS.flags.writeable = _SLICE_OF.flags.writeable = False
 
 
 def build_constraint_plan(puzzle: Board, clue_mask: ClueMask) -> tuple[np.ndarray, ConstraintPlan]:
@@ -139,21 +138,20 @@ def build_constraint_plan(puzzle: Board, clue_mask: ClueMask) -> tuple[np.ndarra
     rejects a mask marking an empty cell, ``board.unit_masks`` clues repeating a digit.
     """
     unit_masks(check_clue_mask(puzzle, clue_mask))
-    members, slice_of = _slice_tables()   # built on first use, not at import
     cells = np.flatnonzero(np.asarray(clue_mask, dtype=bool))
     ones = cells * 9 + np.asarray(puzzle, dtype=np.intp)[cells] - 1
     tensor = np.zeros((9, 9, 9))
     tensor.reshape(-1)[ones] = 1.0
     fixed = np.zeros(729, dtype=bool)
-    fixed[members[slice_of[ones].reshape(-1)]] = True
+    fixed[_MEMBERS[_SLICE_OF[ones].reshape(-1)]] = True
 
-    pad = np.where(fixed[members], -np.inf, 0.0)
+    pad = np.where(fixed[_MEMBERS], -np.inf, 0.0)
     active = (pad == 0.0).any(axis=1)
     families = []
     for f, kind in enumerate(_FAMILIES):
         rows = np.flatnonzero(active[81 * f : 81 * f + 81]) + 81 * f
         if rows.size:
-            families.append(SliceFamily(kind, members[rows], pad[rows]))
+            families.append(SliceFamily(kind, _MEMBERS[rows], pad[rows]))
     return tensor, ConstraintPlan(tuple(families), int(np.count_nonzero(fixed)))
 
 

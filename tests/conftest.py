@@ -4,13 +4,14 @@ import pytest
 
 from sudokulab.backtracking import solve
 from sudokulab.bench import load_suite
-from sudokulab.datasets import sample_puzzle, suite_path, trapped_board
+from sudokulab.board import parse_puzzle
+from sudokulab.datasets import SAMPLE_PUZZLE_LINE, TRAPPED_BOARD_LINE, suite_path
 
 
 @pytest.fixture(scope="session")
 def sample():
     """The bundled 35-clue puzzle: (board, clue_mask)."""
-    return sample_puzzle()
+    return parse_puzzle(SAMPLE_PUZZLE_LINE)
 
 
 @pytest.fixture(scope="session")
@@ -23,7 +24,8 @@ def sample_solution(sample):
 
 @pytest.fixture(scope="session")
 def trapped():
-    return trapped_board()
+    # deliberately violates unit constraints, so it bypasses parse_puzzle
+    return tuple(int(ch) for ch in TRAPPED_BOARD_LINE)
 
 
 @pytest.fixture(scope="session")
@@ -43,7 +45,7 @@ def unsat_puzzle(easy_suite):
     _, puzzle, mask = easy_suite.puzzles[0]
     solution = solve(puzzle, mask).board
     rng = random.Random(1)
-    from sudokulab.board import candidates, cell_ref, parse_puzzle, render_board
+    from sudokulab.board import candidates, cell_ref, render_board
 
     cells = [i for i in range(81) if not mask[i]]
     rng.shuffle(cells)

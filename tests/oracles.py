@@ -152,6 +152,31 @@ def acceptance_probability(cost_current, cost_proposed, temperature):
     return math.exp((cost_current - cost_proposed) / temperature)
 
 
+def reference_units():
+    """The 27 units as tuples of flat cell indices: the rows, the columns,
+    then the subgrids in row-major block order, each cell list row-major."""
+    rows = [tuple(range(r * 9, r * 9 + 9)) for r in range(9)]
+    cols = [tuple(range(c, 81, 9)) for c in range(9)]
+    boxes = []
+    for br in (0, 3, 6):
+        for bc in (0, 3, 6):
+            boxes.append(tuple((br + r) * 9 + (bc + c) for r in range(3) for c in range(3)))
+    return rows + cols + boxes
+
+
+def reference_cell_units():
+    """For each flat cell index, the ids of the 3 ``reference_units`` that
+    hold it, by searching all 27."""
+    units = reference_units()
+    return [tuple(u for u, unit in enumerate(units) if i in unit) for i in range(81)]
+
+
+def reference_peers():
+    """For each flat cell index, the other cells of its three units, sorted."""
+    units = reference_units()
+    return [tuple(sorted({j for unit in units if i in unit for j in unit} - {i})) for i in range(81)]
+
+
 def unit_scan_digits(board):
     """The filled digits of each unit, rows, then columns, then subgrids
     in row-major block order, by scanning the coordinates."""

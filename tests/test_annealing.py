@@ -46,6 +46,16 @@ class TestConfig:
         {"cooling_period": 0},
         {"max_iterations": 0},
         {"reset_at": 300_000},
+        {"cooling_period": float("nan")},
+        {"cooling_period": 2.5},
+        {"cooling_period": True},
+        {"max_iterations": float("nan")},
+        {"max_iterations": 2.5, "reset_at": 1},
+        {"max_iterations": 3000.0, "reset_at": 3000},
+        {"max_iterations": True, "reset_at": 1},
+        {"reset_at": float("nan")},
+        {"reset_at": 2.5},
+        {"reset_at": True},
     ]
 
     @pytest.mark.parametrize("kwargs", BAD)

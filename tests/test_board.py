@@ -4,7 +4,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from sudokulab.board import (
+    CELL_UNITS,
     DIGITS,
+    PEERS,
     PuzzleError,
     UNITS,
     candidates,
@@ -21,7 +23,14 @@ from sudokulab.board import (
 )
 from sudokulab.datasets import SAMPLE_PUZZLE_LINE, TRAPPED_DUPLICATE_CELLS
 
-from oracles import solve_all, unit_scan_digits, unit_scan_solved
+from oracles import (
+    reference_cell_units,
+    reference_peers,
+    reference_units,
+    solve_all,
+    unit_scan_digits,
+    unit_scan_solved,
+)
 
 _FULL_BOARD = solve_all((0,) * 81, cap=1)[0]
 
@@ -35,6 +44,12 @@ class TestGeometry:
             for i in unit:
                 counts[i] += 1
         assert counts == [3] * 81
+
+    def test_tables_equal_the_reference_loops(self):
+        # the slice tables, the sweep order and acceptance 06 read this order
+        assert UNITS == reference_units()
+        assert CELL_UNITS == reference_cell_units()
+        assert PEERS == reference_peers()
 
     def test_cell_index_round_trip(self):
         for i in range(81):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from sudokulab.backtracking import enumerate_solutions
 from sudokulab.bench import load_suite
-from sudokulab.datasets import sample_puzzle, suite_path
+from sudokulab.board import parse_puzzle
+from sudokulab.datasets import SAMPLE_PUZZLE_LINE, suite_path
 from sudokulab.projections import solve_by_projection
 
 from oracles import solve_all
@@ -19,7 +20,7 @@ PUZZLES = [
     (board, mask)
     for name in ("easy", "medium")
     for _, board, mask in load_suite(suite_path(name), name).puzzles
-] + [sample_puzzle()]
+] + [parse_puzzle(SAMPLE_PUZZLE_LINE)]
 
 
 @functools.cache

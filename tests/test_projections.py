@@ -333,6 +333,9 @@ class TestConfig:
         {"max_sweeps": -1},
         {"stall_tolerance": -1.0},
         {"stall_tolerance": float("nan")},
+        {"max_sweeps": float("nan")},
+        {"max_sweeps": 2.5},
+        {"max_sweeps": True},
     ]
 
     @pytest.mark.parametrize("kwargs", BAD)
