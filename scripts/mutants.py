@@ -47,6 +47,13 @@ MUTANTS = (
     Mutant("geometry: subgrid row term unscaled", "src/sudokulab/board.py",
            "18 + i // 27 * 3 + i % 9 // 3", "18 + i // 27 + i % 9 // 3",
            ("tests/test_board.py",)),
+    Mutant("candidates: getter drops the subgrid unit", "src/sudokulab/board.py",
+           "for u in CELL_UNITS[i] for j in UNITS[u])) for i in range(81)]",
+           "for u in CELL_UNITS[i][:2] for j in UNITS[u])) for i in range(81)]",
+           ("tests/test_board.py", "tests/test_backtracking.py")),
+    Mutant("search order: cells left unsorted", "src/sudokulab/backtracking.py",
+           "    entries.sort()", "    pass",
+           ("tests/test_backtracking.py",)),
     Mutant("exact search: unit masks not restored", "src/sudokulab/backtracking.py",
            "        used[u0], used[u1], used[u2] = a, b, c\n", "",
            ("tests/test_backtracking.py",)),
@@ -88,6 +95,9 @@ MUTANTS = (
            "    @classmethod\n    def _make(cls, iterable) -> \"AnnealConfig\":\n"
            "        return cls(*iterable)   # checked; _replace builds through here too\n", "",
            ("tests/test_annealing.py",)),
+    Mutant("cli: bench output paths not checked before the runs", "src/sudokulab/cli.py",
+           "        if Path(path).is_dir() or not Path(path).parent.is_dir():\n", "        if False:\n",
+           ("tests/test_cli.py",)),
     Mutant("bench: claimed solutions not re-checked", "src/sudokulab/bench.py",
            'report = report._replace(solved=False, note="failed independent re-check")', "pass",
            ("tests/test_bench.py",)),

@@ -49,15 +49,13 @@ class SearchOrder(NamedTuple):
 def order_cells(board: Board) -> SearchOrder:
     """Static search order: empty cells by ascending initial candidate count."""
     entries = []
-    for i in range(81):
-        if board[i] == 0:
-            cands = tuple(sorted(candidates(board, cell_ref(i))))
-            entries.append((len(cands), i, cands))
-    entries.sort()
-    return SearchOrder(
-        cells=[cell_ref(i) for _, i, _ in entries],
-        lists=[cands for _, _, cands in entries],
-    )
+    for i, d in enumerate(board):
+        if d == 0:
+            cell = cell_ref(i)
+            cands = tuple(sorted(candidates(board, cell)))
+            entries.append((len(cands), i, cell, cands))
+    entries.sort()  # the indexes differ, so no two cells or lists are compared
+    return SearchOrder([cell for _, _, cell, _ in entries], [cands for *_, cands in entries])
 
 
 def enumerate_solutions(

@@ -6,6 +6,7 @@ All values are immutable; solvers copy before modifying.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable
 
 Board = tuple[int, ...]
@@ -13,6 +14,7 @@ ClueMask = tuple[bool, ...]
 CellRef = tuple[int, int]
 
 DIGITS = frozenset(range(1, 10))
+_DIGIT_SET = set(DIGITS)  # never mutated: candidates returns a new set from it
 _VALUES = frozenset(range(10))
 _INT = frozenset({int})
 
@@ -42,10 +44,8 @@ UNITS: list[tuple[int, ...]] = [
     tuple(i for i, units in enumerate(CELL_UNITS) if u in units) for u in range(27)
 ]
 
-#: For each flat cell index, the union of the other 20 cells sharing a unit.
-PEERS: list[tuple[int, ...]] = [
-    tuple(sorted({j for u in CELL_UNITS[i] for j in UNITS[u]} - {i})) for i in range(81)
-]
+#: For each flat cell index, a getter of the 27 values of its three units.
+_UNIT_VALUES = [itemgetter(*(j for u in CELL_UNITS[i] for j in UNITS[u])) for i in range(81)]
 
 _IGNORED = set(" \t\r\n|+-")
 
@@ -152,8 +152,7 @@ def candidates(board: Board, cell: CellRef) -> set[int]:
     i = cell_index(*cell)
     if board[i] != 0:
         raise PuzzleError(f"cell {cell} is not empty")
-    used = {board[j] for j in PEERS[i]}
-    return set(DIGITS) - used
+    return _DIGIT_SET.difference(_UNIT_VALUES[i](board))  # the cell's own 0 is no digit
 
 
 def is_solved(board: Board) -> bool:

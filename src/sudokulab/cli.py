@@ -111,6 +111,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    for path in filter(None, (args.csv, args.stats_csv)):
+        # checked before the runs, which a failed write would lose
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            raise OSError(f"cannot write {path}: it is a directory, or its directory is missing")
     suite = bench.load_suite(args.suite, name=Path(args.suite).stem)
     records = bench.run_bench(
         suite, methods=methods, base_seed=args.base_seed, jobs=args.jobs

@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 
 from sudokulab.backtracking import order_cells
-from sudokulab.board import PEERS, cell_index
+from sudokulab.board import cell_index
 
 #: entry codes of ``reference_plan``'s status vector
 FREE, FIXED_ZERO, FIXED_ONE = 0, 1, 2
@@ -88,6 +88,7 @@ def peer_scan_search(board, cap, trace=None):
     order = order_cells(board)
     cells = [cell_index(r, c) for r, c in order.cells]
     lists = order.lists
+    peers = reference_peers()
     grid = list(board)
     solutions = []
     n = len(cells)
@@ -101,7 +102,7 @@ def peer_scan_search(board, cap, trace=None):
         i = cells[depth]
         digits = lists[depth]
         for d in digits:
-            ok = all(grid[j] != d for j in PEERS[i])
+            ok = all(grid[j] != d for j in peers[i])
             if trace is not None:
                 trace("".join(str(grid[c]) for c in cells[:depth]) + str(d), ok)
             if ok:

@@ -6,10 +6,12 @@ from hypothesis import given, reject, settings, strategies as st
 from sudokulab import backtracking
 from sudokulab.backtracking import enumerate_solutions, order_cells, solve
 from sudokulab.bench import load_suite
-from sudokulab.board import PuzzleError, cell_ref, clues_respected, is_solved, parse_puzzle, violation_cost
+from sudokulab.board import (
+    PuzzleError, candidates, cell_ref, clues_respected, is_solved, parse_puzzle, violation_cost,
+)
 from sudokulab.datasets import suite_path
 
-from oracles import peer_scan_search, search_head, solve_all, unit_scan_solved
+from oracles import _free_digits, peer_scan_search, search_head, solve_all, unit_scan_solved
 
 EMPTY = (0,) * 81
 EMPTY_MASK = (False,) * 81
@@ -34,6 +36,18 @@ class TestOrderCells:
     def test_solved_board(self, sample_solution):
         order = order_cells(sample_solution)
         assert order.cells == []
+
+    @given(st.lists(st.just(0) | st.integers(1, 9), min_size=81, max_size=81))  # about half empty
+    def test_matches_unit_scan_on_drawn_boards(self, cells):
+        # digits drawn at random, so units may repeat one
+        board = tuple(cells)
+        lists = {i: sorted(_free_digits(board, i)) for i in range(81) if board[i] == 0}
+        for i, free in lists.items():
+            got = candidates(board, cell_ref(i))
+            assert type(got) is set and got == set(free)
+            got.clear()  # a new set each call: clearing it changes no later answer
+        order = sorted(lists, key=lambda i: (len(lists[i]), i))
+        assert order_cells(board) == ([cell_ref(i) for i in order], [tuple(lists[i]) for i in order])
 
 
 class TestEnumerate:

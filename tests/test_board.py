@@ -6,7 +6,6 @@ from hypothesis import example, given, strategies as st
 from sudokulab.board import (
     CELL_UNITS,
     DIGITS,
-    PEERS,
     PuzzleError,
     UNITS,
     candidates,
@@ -25,7 +24,6 @@ from sudokulab.datasets import SAMPLE_PUZZLE_LINE, TRAPPED_DUPLICATE_CELLS
 
 from oracles import (
     reference_cell_units,
-    reference_peers,
     reference_units,
     solve_all,
     unit_scan_digits,
@@ -49,7 +47,6 @@ class TestGeometry:
         # the slice tables, the sweep order and acceptance 06 read this order
         assert UNITS == reference_units()
         assert CELL_UNITS == reference_cell_units()
-        assert PEERS == reference_peers()
 
     def test_cell_index_round_trip(self):
         for i in range(81):

@@ -1,12 +1,17 @@
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sudokulab
+from sudokulab import bench
 from sudokulab.annealing import AnnealConfig
 from sudokulab.bench import load_suite
 from sudokulab.board import is_solved, parse_puzzle, render_board
@@ -240,6 +245,21 @@ class TestBench:
     def test_missing_suite_file_exits_2(self, tmp_path):
         assert run_cli(["bench", "--suite", str(tmp_path / "none.txt")]) == 2
 
+    @pytest.mark.parametrize("flag, name", [("--csv", "."), ("--stats-csv", "missing/stats.csv")],
+                             ids=["csv-directory", "stats-csv-missing-directory"])
+    def test_bad_output_path_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys, flag, name):
+        def no_run(*args, **kwargs):
+            pytest.fail("run_bench ran before the output path was checked")
+
+        monkeypatch.setattr("sudokulab.bench.run_bench", no_run)
+        code = run_cli(["bench", "--suite", str(suite_path("easy")), "--methods", "annealing",
+                        flag, str(tmp_path / name)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {tmp_path / name}")
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_cli_and_bench_import_without_numpy():
     # only the projection solver needs numpy, so the other commands skip its import
@@ -284,6 +304,79 @@ def test_benchmark_selftest_passes():
                          timeout=120)
     assert out.returncode == 0, out.stdout + out.stderr
     assert out.stdout.splitlines()[-1] == "0 problem(s)"
+
+
+_LINES = [SAMPLE_PUZZLE_LINE] + [
+    render_board(board, "line")
+    for name in ("easy", "medium") for _, board, _ in load_suite(suite_path(name), name).puzzles
+]
+_BAD_NUMBERS = ("0", "-1", "nan", "inf", "-inf", "1e-320")
+_FLOATS = st.sampled_from(("0.5", "0.99", "2", "100"))
+# each solver flag with its good values; the iteration and sweep caps keep a run short
+_SOLVE_FLAGS = {"--max-iters": st.integers(1, 2000), "--max-sweeps": st.integers(1, 50),
+                "--seed": st.integers(1, 50), "--period": st.integers(1, 50),
+                "--t0": _FLOATS, "--cool": _FLOATS, "--tol": _FLOATS}
+_METHODS = ("backtracking", "projection", "backtracking,projection", " projection,",
+            "", ",", " , ,", "magic")
+
+
+@st.composite
+def _puzzle_text(draw):
+    """A bundled puzzle line as it is, or broken so that parsing rejects it."""
+    line = draw(st.sampled_from(_LINES))
+    if draw(st.booleans()):
+        return line
+    i = draw(st.integers(0, 80))
+    r = i // 9 * 9
+    k = next(k for k in range(r, r + 9) if line[k] != ".")  # every bundled row holds a clue
+    j = r + (k - r + 1) % 9                                  # another cell of that row
+    return draw(st.sampled_from((
+        line[:i],                                # too short
+        line + "1",                              # too long
+        line[:i] + "x" + line[i + 1:],           # illegal character
+        line[:j] + line[k] + line[j + 1:],       # a digit repeated in a row
+    )))
+
+
+@st.composite
+def _argv(draw, tmp):
+    """argv for one command over files it writes in ``tmp``: good or broken
+    puzzles, inline or in a good, missing, directory or binary file, bad
+    solver flag values, method lists and output paths."""
+    command = draw(st.sampled_from(("solve", "verify", "bench")))
+    puzzles = draw(st.lists(_puzzle_text(), min_size=1, max_size=2 if command == "bench" else 1))
+    (tmp / "in.txt").write_text("\n".join(puzzles) + "\n", encoding="utf-8")
+    (tmp / "bin.dat").write_bytes(bytes(range(256)))
+    source = str(tmp / draw(st.sampled_from(("in.txt", "in.txt", "in.txt", "none.txt", ".", "bin.dat"))))
+    if command == "bench":
+        argv = ["bench", "--suite", source, "--methods", draw(st.sampled_from(_METHODS)),
+                "--jobs", draw(st.sampled_from(("1", "1", "2", "0", "-1")))]
+        for flag in ("--csv", "--stats-csv"):
+            out = draw(st.sampled_from((None, None, "out.csv", "", ".", "missing/out.csv", "in.txt/out.csv")))
+            if out is not None:
+                argv += [flag, out and str(tmp / out)]
+        return argv
+    argv = [command, *(["--input", source] if draw(st.booleans()) else puzzles)]
+    if command == "solve":
+        argv += ["--method", draw(st.sampled_from(bench.METHODS))]
+        for flag, good in _SOLVE_FLAGS.items():
+            # the caps are always set; a set value is a bad number one time in four
+            if flag in ("--max-iters", "--max-sweeps") or draw(st.booleans()):
+                bad = draw(st.integers(0, 3)) == 0
+                argv += [flag, str(draw(st.sampled_from(_BAD_NUMBERS) if bad else good))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_any_argv_exits_0_1_or_2(data):
+    with tempfile.TemporaryDirectory() as name:
+        argv = data.draw(_argv(Path(name)), label="argv")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestUsage:
