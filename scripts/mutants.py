@@ -63,6 +63,18 @@ MUTANTS = (
     Mutant("annealing: draw-table rebuild starts from a stale sum", "src/sudokulab/annealing.py",
            "cum[lo - 1] + fw[lo]", "cum[lo]",
            ("tests/test_annealing.py",)),
+    Mutant("annealing: chain runs on past cost 0", "src/sudokulab/annealing.py",
+           "    while cost and n < max_iters:\n", "    while n < max_iters:\n",
+           ("tests/test_annealing.py",)),
+    Mutant("annealing: temperature never reset", "src/sudokulab/annealing.py",
+           "steps = n - reset_at if n >= reset_at else n", "steps = n",
+           ("tests/test_annealing.py",)),
+    Mutant("annealing: swap guard raises for a solved fill", "src/sudokulab/annealing.py",
+           "if nfree < 2 and cost:", "if nfree < 2:",
+           ("tests/test_annealing.py",)),
+    Mutant("annealing: fill swapped between clues and free cells", "src/sudokulab/annealing.py",
+           "d if c else next(fill)", "next(fill) if c else d",
+           ("tests/test_annealing.py",)),
     Mutant("bench: no fresh-pool retry of a lost run", "src/sudokulab/bench.py",
            "_pooled([a], 1)[0] if workers > 1 else ", "",
            ("tests/test_bench.py",)),
@@ -74,6 +86,9 @@ MUTANTS = (
            ("tests/test_projections.py",)),
     Mutant("projection: solved test takes any in place of all", "src/sudokulab/projections.py",
            "== np.arange(9)).all())", "== np.arange(9)).any())",
+           ("tests/test_projections.py",)),
+    Mutant("projection: rounding not tested before each sweep", "src/sudokulab/projections.py",
+           "while not _rounds_solved(tensor) and ", "while ",
            ("tests/test_projections.py",)),
     Mutant("projection: slice table holds family ids, not slice ids", "src/sudokulab/projections.py",
            "_SLICE_OF[_MEMBERS, np.arange(324)[:, None] // 81] = np.arange(324)[:, None]\n",

@@ -97,13 +97,8 @@ def initial_board(puzzle: Board, clue_mask: ClueMask, rng: random.Random) -> Boa
     rows = unit_masks(check_clue_mask(puzzle, clue_mask))[:9]
     pool = [d for d in range(1, 10) for used in rows if not used >> d & 1]
     rng.shuffle(pool)
-    filled = list(puzzle)
-    pos = 0
-    for i in range(81):
-        if not clue_mask[i]:
-            filled[i] = pool[pos]
-            pos += 1
-    return tuple(filled)
+    fill = iter(pool)   # unit_masks rejects repeated clues, so one digit per free cell
+    return tuple(d if c else next(fill) for d, c in zip(puzzle, clue_mask))
 
 
 def anneal(
@@ -118,11 +113,6 @@ def anneal(
     rng = random.Random(cfg.seed)
     state = AnnealState.create(initial_board(puzzle, clue_mask, rng), clue_mask, cfg, rng=rng)
 
-    if state.cost == 0:
-        return SolveReport(
-            "annealing", True, tuple(state.board), time.perf_counter() - start, 0, final_cost=0
-        )
-
     # local bindings for the hot loop
     board = state.board
     counts = state._counts
@@ -136,8 +126,9 @@ def anneal(
     exp_degree = _EXP_DEGREE
     t0, cool, period = cfg.initial_temperature, cfg.cooling_factor, cfg.cooling_period
     max_iters, reset_at = cfg.max_iterations, cfg.reset_at
+    cost = state.cost
     nfree = len(free)
-    if nfree < 2:
+    if nfree < 2 and cost:
         # no swap can move, and the distinct second draw below would never
         # end; valid clues that leave fewer free cells are solved by the fill
         raise ValueError("need at least two non-clue cells to propose a swap")
@@ -146,27 +137,21 @@ def anneal(
     slot_of = {i: slot for slot, i in enumerate(free)}
     unit_free = [[(slot_of[i], i, *rows_of[i]) for i in cells if i in slot_of] for cells in UNITS]
 
-    reset_base = 0
     temp = t0
-    cost = state.cost
     cum = list(accumulate(fw))
-    total = cum[-1]
     last = nfree - 1
-    solved = False
     n = 0
-    while n < max_iters:
-        if n == reset_at:
-            reset_base = n
-        steps = n - reset_base
+    while cost and n < max_iters:
+        steps = n - reset_at if n >= reset_at else n
         if steps % period == 0:
             # never 0.0: once the schedule underflows, every uphill move is rejected
             temp = max(t0 * cool ** (steps // period), math.ulp(0.0))
 
         # weighted draws, the second repeated until distinct; searching only
         # cum[:last] puts a draw past the final bin by round-off into it
-        sa = sb = bisect(cum, rnd() * total, 0, last)
+        sa = sb = bisect(cum, rnd() * cum[-1], 0, last)
         while sb == sa:
-            sb = bisect(cum, rnd() * total, 0, last)
+            sb = bisect(cum, rnd() * cum[-1], 0, last)
         a, b = free[sa], free[sb]
         da, db = board[a], board[b]
 
@@ -210,7 +195,6 @@ def anneal(
                     # accumulate adds left to right, so rebuilding from the
                     # lowest changed slot gives the floats of a full rebuild
                     cum[lo:] = accumulate(fw[lo + 1:], initial=cum[lo - 1] + fw[lo] if lo else fw[lo])
-                    total = cum[-1]
             else:
                 # revert the tentative count shift
                 for row in rows_a:
@@ -226,11 +210,7 @@ def anneal(
             state.temperature = temp
             state.iteration = n
             observer(state)
-        if cost == 0:
-            solved = True
-            break
 
-    elapsed = time.perf_counter() - start
     return SolveReport(
-        "annealing", solved, tuple(board), elapsed, n, final_cost=cost
+        "annealing", cost == 0, tuple(board), time.perf_counter() - start, n, final_cost=cost
     )

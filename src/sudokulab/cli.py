@@ -111,7 +111,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    for path in filter(None, (args.csv, args.stats_csv)):
+    for path in (p for p in (args.csv, args.stats_csv) if p is not None):
         # checked before the runs, which a failed write would lose
         if Path(path).is_dir() or not Path(path).parent.is_dir():
             raise OSError(f"cannot write {path}: it is a directory, or its directory is missing")
@@ -120,9 +120,9 @@ def _cmd_bench(args) -> int:
         suite, methods=methods, base_seed=args.base_seed, jobs=args.jobs
     )
     stats = bench.summarize(records)
-    if args.csv:
+    if args.csv is not None:
         bench.export_reports_csv(records, args.csv)
-    if args.stats_csv:
+    if args.stats_csv is not None:
         bench.export_stats_csv(stats, args.stats_csv)
     print(bench.format_stats_table(stats))
     return 0

@@ -193,13 +193,11 @@ def solve_by_projection(
     start = time.perf_counter()
     tensor, plan = build_constraint_plan(puzzle, clue_mask)
 
-    solved = _rounds_solved(tensor)
     sweeps = 0
     max_change = np.inf
-    while not solved and sweeps < cfg.max_sweeps and max_change >= cfg.stall_tolerance:
+    while not _rounds_solved(tensor) and sweeps < cfg.max_sweeps and max_change >= cfg.stall_tolerance:
         tensor, max_change = sweep(tensor, plan)
         sweeps += 1
-        solved = _rounds_solved(tensor)
     board = round_tensor(tensor)
     solved = is_solved(board)
 

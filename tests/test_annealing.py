@@ -317,9 +317,16 @@ class TestMetropolis:
 
 
 class TestAnneal:
-    def test_already_solved(self):
-        report = anneal(_FULL, _FULL_MASK)
+    @pytest.mark.parametrize("nfree", [0, 1])
+    def test_already_solved(self, nfree):
+        # one free cell takes the one digit its row lacks, so the fill solves
+        # the board and the swap guard, which needs two free cells, stays quiet
+        puzzle = _FULL[:81 - nfree] + (0,) * nfree
+        mask = _FULL_MASK[:81 - nfree] + (False,) * nfree
+        calls = []
+        report = anneal(puzzle, mask, observer=calls.append)
         assert report.solved and report.work == 0 and report.board == _FULL
+        assert report.final_cost == 0 and calls == []
 
     def test_solves_bundled_easy(self, easy_suite):
         _, board, mask = easy_suite.puzzles[0]

@@ -245,13 +245,16 @@ class TestBench:
     def test_missing_suite_file_exits_2(self, tmp_path):
         assert run_cli(["bench", "--suite", str(tmp_path / "none.txt")]) == 2
 
-    @pytest.mark.parametrize("flag, name", [("--csv", "."), ("--stats-csv", "missing/stats.csv")],
-                             ids=["csv-directory", "stats-csv-missing-directory"])
-    def test_bad_output_path_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys, flag, name):
+    @pytest.fixture
+    def no_run(self, monkeypatch):
         def no_run(*args, **kwargs):
             pytest.fail("run_bench ran before the output path was checked")
 
         monkeypatch.setattr("sudokulab.bench.run_bench", no_run)
+
+    @pytest.mark.parametrize("flag, name", [("--csv", "."), ("--stats-csv", "missing/stats.csv")],
+                             ids=["csv-directory", "stats-csv-missing-directory"])
+    def test_bad_output_path_exits_2_before_any_run(self, tmp_path, no_run, capsys, flag, name):
         code = run_cli(["bench", "--suite", str(suite_path("easy")), "--methods", "annealing",
                         flag, str(tmp_path / name)])
         captured = capsys.readouterr()
@@ -259,6 +262,15 @@ class TestBench:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {tmp_path / name}")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--csv", "--stats-csv"])
+    def test_empty_output_path_exits_2_before_any_run(self, no_run, capsys, flag):
+        # an empty path names the working directory, not an unset flag
+        code = run_cli(["bench", "--suite", str(suite_path("easy")), "--methods", "backtracking", flag, ""])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ")
 
 
 def test_cli_and_bench_import_without_numpy():
