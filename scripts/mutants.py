@@ -99,8 +99,8 @@ MUTANTS = (
            "            raise ValueError(\"max_sweeps must be an int\")\n", "",
            ("tests/test_projections.py",)),
     Mutant("annealing: config int check dropped", "src/sudokulab/annealing.py",
-           "        if {type(self.cooling_period), type(self.max_iterations), type(self.reset_at)} != {int}:\n"
-           "            raise ValueError(\"cooling_period, max_iterations and reset_at must be ints\")\n", "",
+           "        if {type(self.cooling_period), type(self.max_iterations), type(self.reset_at), type(self.seed)} != {int}:\n"
+           "            raise ValueError(\"cooling_period, max_iterations, reset_at and seed must be ints\")\n", "",
            ("tests/test_annealing.py",)),
     Mutant("projection: config _make unchecked", "src/sudokulab/projections.py",
            "    @classmethod\n    def _make(cls, iterable) -> \"ProjectionConfig\":\n"
@@ -118,6 +118,18 @@ MUTANTS = (
            ("tests/test_bench.py",)),
     Mutant("bench: process pool imported at the top", "src/sudokulab/bench.py",
            "from typing import NamedTuple\n", "from concurrent.futures import ProcessPoolExecutor\nfrom typing import NamedTuple\n",
+           ("tests/test_cli.py",)),
+    Mutant("exact search: cap type check dropped", "src/sudokulab/backtracking.py",
+           "if type(cap) is not int or cap < 1:", "if cap < 1:",
+           ("tests/test_backtracking.py",)),
+    Mutant("cli: a puzzle may come inline and from --input at once", "src/sudokulab/cli.py",
+           "source = sub.add_mutually_exclusive_group(required=True)", "source = sub",
+           ("tests/test_cli.py",)),
+    Mutant("cli: verify exits 0 for any solution count but none", "src/sudokulab/cli.py",
+           "0 if count == 1 else 1", "0 if count else 1",
+           ("tests/test_cli.py",)),
+    Mutant("bench: annealing loaded for every method list", "src/sudokulab/bench.py",
+           'if "annealing" in methods:', "if True:",
            ("tests/test_cli.py",)),
     Mutant("report: dataclasses imported at the top", "src/sudokulab/report.py",
            "from typing import NamedTuple\n", "from dataclasses import dataclass\nfrom typing import NamedTuple\n",

@@ -50,9 +50,9 @@ class AnnealConfig(_AnnealFields):
             raise ValueError("initial_temperature must be positive and finite")
         if not 0 < self.cooling_factor < 1:
             raise ValueError("cooling_factor must lie in (0,1)")
-        # NaN, 2.5 or True would pass the range tests below
-        if {type(self.cooling_period), type(self.max_iterations), type(self.reset_at)} != {int}:
-            raise ValueError("cooling_period, max_iterations and reset_at must be ints")
+        # NaN, 2.5 or True would pass the range tests below, and a None seed draws from the OS
+        if {type(self.cooling_period), type(self.max_iterations), type(self.reset_at), type(self.seed)} != {int}:
+            raise ValueError("cooling_period, max_iterations, reset_at and seed must be ints")
         if self.cooling_period < 1 or self.max_iterations < 1:
             raise ValueError("cooling_period and max_iterations must be positive")
         if not 1 <= self.reset_at <= self.max_iterations:

@@ -75,8 +75,8 @@ def enumerate_solutions(
 
 def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board], int]:
     """Up to ``cap`` solutions and the number of placement attempts made."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    if type(cap) is not int or cap < 1:   # NaN or 1.5 would let the search run past the cap
+        raise ValueError("cap must be an int >= 1")
     used = unit_masks(board)  # per unit, bit d set while digit d is in it
     order = order_cells(board)
     # one step per depth: (cell, its three units, its digit list, the list's length)
@@ -126,6 +126,5 @@ def solve(board: Board, clue_mask: ClueMask) -> SolveReport:
     start = time.perf_counter()
     found, nodes = _search(check_clue_mask(board, clue_mask), 1, None)
     elapsed = time.perf_counter() - start
-    if found:
-        return SolveReport("backtracking", True, found[0], elapsed, nodes, final_cost=0)
-    return SolveReport("backtracking", False, board, elapsed, nodes)
+    return SolveReport("backtracking", bool(found), found[0] if found else board, elapsed, nodes,
+                       final_cost=0 if found else None)

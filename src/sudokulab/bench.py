@@ -77,7 +77,7 @@ def _failed(args, exc: BaseException) -> SolveReport:
 def _run_job(args) -> SolveReport:
     """One bench run; an exception becomes an unsolved report, so one
     crashing run cannot abort the bench."""
-    puzzle, mask, method, config = args
+    puzzle, mask, method, config, _ = args
     try:
         return solve(method, puzzle, mask, config)
     except Exception as exc:
@@ -125,21 +125,19 @@ def run_bench(
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
-    from .annealing import AnnealConfig
+    if "annealing" in methods:
+        from .annealing import AnnealConfig
 
-    tasks = [
-        (pid, puzzle, mask, method)
+    # one job per run: (puzzle, mask, method, config, puzzle id)
+    runs = [
+        (puzzle, mask, method, AnnealConfig(seed=base_seed + pid) if method == "annealing" else None, pid)
         for method in methods
         for pid, puzzle, mask in suite.puzzles
     ]
-    job_args = [
-        (p, m, meth, AnnealConfig(seed=base_seed + pid) if meth == "annealing" else None)
-        for pid, p, m, meth in tasks
-    ]
-    reports = _pooled(job_args, min(jobs, len(job_args))) if jobs > 1 else [_run_job(a) for a in job_args]
+    reports = _pooled(runs, min(jobs, len(runs))) if jobs > 1 else [_run_job(run) for run in runs]
 
     records = []
-    for (pid, puzzle, mask, method), report in zip(tasks, reports):
+    for (puzzle, mask, *_, pid), report in zip(runs, reports):
         if report.solved and not (
             is_solved(report.board) and clues_respected(report.board, puzzle, mask)
         ):

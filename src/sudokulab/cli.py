@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import bench
-from .board import PuzzleError, parse_puzzle, render_board
+from .board import parse_puzzle, render_board
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,19 +48,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_puzzle_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("puzzle", nargs="?", help="inline 81-character puzzle")
-    sub.add_argument("--input", help="path to a puzzle file")
+    # argparse exits 2 when neither source, or both, are given
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("puzzle", nargs="?", help="inline 81-character puzzle")
+    source.add_argument("--input", help="path to a puzzle file")
 
 
 def _read_puzzle(args):
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    elif args.puzzle:
-        text = args.puzzle
-    else:
-        raise PuzzleError("no puzzle given: pass an inline puzzle or --input PATH")
-    return parse_puzzle(text)
+    if args.input is None:
+        return parse_puzzle(args.puzzle)
+    with open(args.input, "r", encoding="utf-8") as fh:
+        return parse_puzzle(fh.read())
 
 
 def _solve_config(args):
@@ -98,15 +96,9 @@ def _cmd_verify(args) -> int:
     from . import backtracking
 
     puzzle, mask = _read_puzzle(args)
-    solutions = backtracking.enumerate_solutions(puzzle, mask, cap=2)
-    if len(solutions) == 0:
-        print("unsatisfiable")
-        return 1
-    if len(solutions) == 1:
-        print("unique")
-        return 0
-    print("multiple")
-    return 1
+    count = len(backtracking.enumerate_solutions(puzzle, mask, cap=2))
+    print(("unsatisfiable", "unique", "multiple")[count])
+    return 0 if count == 1 else 1
 
 
 def _cmd_bench(args) -> int:

@@ -11,22 +11,7 @@ SAMPLE_PUZZLE_LINE = (
     "15764..8..4........329..14.7.41.52..2..86..74....7...1.8..21......3.4.19...5.682."
 )
 
-#: A full board two swaps away from a solution: cost 2 from two column
-#: duplicates, and no single clue-respecting swap lowers the cost.  Used
-#: as a violation-accounting fixture, not as a puzzle.
-TRAPPED_BOARD_LINE = (
-    "417962835"
-    "632158749"
-    "958734612"
-    "825497361"
-    "391586427"
-    "746312598"
-    "289653174"
-    "573241986"
-    "164879253"
-)
-
-#: The four cells causing the trapped board's two column duplicates.
+#: The four cells causing the two column duplicates of ``TRAPPED_BOARD_LINE`` (tests/conftest.py).
 TRAPPED_DUPLICATE_CELLS = ((1, 6), (2, 5), (6, 6), (7, 5))
 
 

@@ -5,7 +5,22 @@ import pytest
 from sudokulab.backtracking import solve
 from sudokulab.bench import load_suite
 from sudokulab.board import parse_puzzle
-from sudokulab.datasets import SAMPLE_PUZZLE_LINE, TRAPPED_BOARD_LINE, suite_path
+from sudokulab.datasets import SAMPLE_PUZZLE_LINE, suite_path
+
+#: A full board two swaps away from a solution: cost 2 from two column
+#: duplicates, and no single clue-respecting swap lowers the cost.  Used
+#: as a violation-accounting fixture, not as a puzzle.
+TRAPPED_BOARD_LINE = (
+    "417962835"
+    "632158749"
+    "958734612"
+    "825497361"
+    "391586427"
+    "746312598"
+    "289653174"
+    "573241986"
+    "164879253"
+)
 
 
 @pytest.fixture(scope="session")

@@ -56,6 +56,9 @@ class TestConfig:
         {"reset_at": float("nan")},
         {"reset_at": 2.5},
         {"reset_at": True},
+        {"seed": None},   # random.Random(None) would seed from the OS
+        {"seed": 2.5},
+        {"seed": True},
     ]
 
     @pytest.mark.parametrize("kwargs", BAD)

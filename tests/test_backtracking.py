@@ -83,6 +83,13 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_solutions(*sample, cap=0)
 
+    @pytest.mark.parametrize("cap", [float("nan"), 1.5, 2.0, True], ids=["nan", "1.5", "2.0", "True"])
+    def test_non_int_cap(self, sample, cap):
+        # a NaN cap never compares reached, so the search would list all 12
+        # completions of the sample; 1.5 would let it return 2 boards
+        with pytest.raises(ValueError, match="cap must be an int"):
+            enumerate_solutions(*sample, cap=cap)
+
     def test_deterministic(self, sample):
         board, mask = sample
 

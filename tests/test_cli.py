@@ -93,6 +93,18 @@ class TestSolve:
     def test_missing_puzzle_exits_2(self):
         assert run_cli(["solve", "--method", "backtracking"]) == 2
 
+    @pytest.mark.parametrize("command, inline_first", [(["solve", "--method", "backtracking"], False),
+                                                        (["verify"], False), (["verify"], True)],
+                             ids=["solve", "verify", "verify-inline-first"])
+    def test_both_sources_exit_2(self, tmp_path, capsys, command, inline_first):
+        # the parser rejects the pair, so neither the sample in the file nor
+        # the malformed inline puzzle is read
+        path = tmp_path / "p.txt"
+        path.write_text(SAMPLE_PUZZLE_LINE + "\n")
+        inline, from_file = ["X" * 81], ["--input", str(path)]
+        assert run_cli(command + (inline + from_file if inline_first else from_file + inline)) == 2
+        assert capsys.readouterr().out == ""
+
     def test_missing_input_file_exits_2(self, tmp_path):
         code = run_cli(
             ["solve", "--method", "backtracking", "--input", str(tmp_path / "nope.txt")]
@@ -306,6 +318,21 @@ def test_cold_start_loads_only_what_the_command_uses():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.splitlines() == ["[]", "multiple", "False", "True", "[]"]
+
+
+def test_bench_loads_only_the_solvers_it_runs():
+    # a backtracking-only bench builds no annealing config, so it never loads annealing
+    src = Path(sudokulab.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from sudokulab.cli import run_cli\n"
+        f"code = run_cli(['bench', '--suite', {str(suite_path('easy'))!r}, '--methods', 'backtracking'])\n"
+        "print(code, sorted(n for n in ('sudokulab.annealing', 'sudokulab.projections') if n in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "0 []"
 
 
 def test_benchmark_selftest_passes():
