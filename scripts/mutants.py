@@ -60,6 +60,15 @@ MUTANTS = (
     Mutant("exact search: lacking-digit table indexed unshifted", "src/sudokulab/backtracking.py",
            "_LACKING[taken >> 1]", "_LACKING[taken]",
            ("tests/test_backtracking.py",)),
+    Mutant("exact search: second step's unit masks not restored", "src/sudokulab/backtracking.py",
+           "            used[v0], used[v1], used[v2] = a2, b2, c2\n", "",
+           ("tests/test_backtracking.py",)),
+    Mutant("exact search: inner success count drops the first step's attempts", "src/sudokulab/backtracking.py",
+           "digits2.index(e) + 1 + digits.index(d) + 1", "digits2.index(e) + 1",
+           ("tests/test_backtracking.py",)),
+    Mutant("exact search: hook helper skips the rejected digits left after the loop", "src/sudokulab/backtracking.py",
+           "        for x in digits:\n            if last < x <= d:", "        for x in digits if d < 10 else ():\n            if last < x <= d:",
+           ("tests/test_backtracking.py",)),
     Mutant("annealing: draw-table rebuild starts from a stale sum", "src/sudokulab/annealing.py",
            "cum[lo - 1] + fw[lo]", "cum[lo]",
            ("tests/test_annealing.py",)),
@@ -122,6 +131,9 @@ MUTANTS = (
     Mutant("exact search: cap type check dropped", "src/sudokulab/backtracking.py",
            "if type(cap) is not int or cap < 1:", "if cap < 1:",
            ("tests/test_backtracking.py",)),
+    Mutant("bench: job count type check dropped", "src/sudokulab/bench.py",
+           "if type(jobs) is not int or jobs < 1:", "if jobs < 1:",
+           ("tests/test_bench.py",)),
     Mutant("cli: a puzzle may come inline and from --input at once", "src/sudokulab/cli.py",
            "source = sub.add_mutually_exclusive_group(required=True)", "source = sub",
            ("tests/test_cli.py",)),

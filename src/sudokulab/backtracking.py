@@ -5,10 +5,12 @@ list size (ties broken row-major).  The search grows a digit string along
 that order in dictionary order, abandoning a prefix the moment a placed digit
 duplicates a digit in one of its three units (read from 27 unit bitmasks).
 A step table built before the search holds, per depth, the cell, its three
-units and its digit list; each call reads its three masks once, places a digit
-by writing them with its bit, and restores them once after its digit loop.
-Without a trace hook only the digits the units still lack are tried, read from
-a 512-entry table; the rejected ones are still counted as placement attempts.
+units and its digit list; one call places two consecutive steps, the second in
+the first's digit loop.  Each step reads its three masks once, tries only the
+digits its units still lack (read from a 512-entry table), places one by
+writing the masks with its bit, and restores them once after its loop.  The
+rejected digits still count as placement attempts, and a trace hook hears them
+from the same loop.
 Enumeration thus yields complete solutions in the dictionary order induced by
 the cell ordering; exhausting the tree proves uniqueness or unsatisfiability.
 """
@@ -74,7 +76,8 @@ def enumerate_solutions(
 
 
 def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board], int]:
-    """Up to ``cap`` solutions and the number of placement attempts made."""
+    """Up to ``cap`` solutions and the number of placement attempts made; one
+    ``dfs`` call places two steps, and a hook hears rejected digits from its loops."""
     if type(cap) is not int or cap < 1:   # NaN or 1.5 would let the search run past the cap
         raise ValueError("cap must be an int >= 1")
     used = unit_masks(board)  # per unit, bit d set while digit d is in it
@@ -82,41 +85,68 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
     # one step per depth: (cell, its three units, its digit list, the list's length)
     cells = [cell_index(r, c) for r, c in order.cells]
     steps = [(i, *CELL_UNITS[i], ds, len(ds)) for i, ds in zip(cells, order.lists)]
+    steps += [(None,) * 6] * (len(steps) % 2)  # an odd count's last frame holds one step
+    frames = None  # linked from the last, flat: (*step, *next step, next frame or None)
+    for k in range(len(steps) - 2, -1, -2):
+        frames = (*steps[k], *steps[k + 1], frames)
     grid = list(board)
     solutions: list[Board] = []
-    n = len(steps)
     nodes = 0
 
-    def dfs(depth: int, prefix: str) -> bool:
+    def hear(prefix: str, digits: tuple[int, ...], taken: int, d: int) -> str:
+        """Tell ``trace`` the listed digits since the last feasible one below ``d``
+        as rejected, then ``d`` as feasible; ``d`` = 10 tells those after the loop."""
+        last = (~taken & (1 << d) - 2).bit_length() - 1  # -1 if none below d is feasible
+        for x in digits:
+            if last < x <= d:
+                trace(prefix + str(x), x == d)
+        return prefix + str(d)
+
+    def dfs(frame, prefix: str) -> bool:
         nonlocal nodes
-        if depth == n:
+        if frame is None:
             solutions.append(tuple(grid))
             return len(solutions) >= cap
-        i, u0, u1, u2, digits, size = steps[depth]
+        i, u0, u1, u2, digits, size, j, v0, v1, v2, digits2, size2, below = frame
         a, b, c = used[u0], used[u1], used[u2]  # restored after the loop, or the search ends
         taken = a | b | c
-        # untraced, only the digits the units lack are tried: as used only gains
-        # bits along a path, they are the feasible part of digits, in order.  Each
-        # call counts its attempts, rejected ones too: all of its digits, or
-        # those up to the one whose subtree ended the search
-        grown = prefix  # digits placed so far, in search order; grown only for a trace hook
-        for d in digits if trace is not None else _LACKING[taken >> 1]:
-            bit = 1 << d
+        # only the digits the units lack are placed: as used only gains bits along
+        # a path, they are the feasible part of digits, in order.  Each step counts
+        # all of its digits as attempts, or those up to the one that ended the search
+        grown = grown2 = prefix  # digits placed so far, in search order; grown only for a trace hook
+        for d in _LACKING[taken >> 1]:
             if trace is not None:
-                grown = prefix + str(d)
-                trace(grown, not taken & bit)
-                if taken & bit:
-                    continue
+                grown = hear(prefix, digits, taken, d)
+            bit = 1 << d
             grid[i] = d  # every cell below is rewritten before the grid is copied
             used[u0], used[u1], used[u2] = a | bit, b | bit, c | bit
-            if dfs(depth + 1, grown):
-                nodes += digits.index(d) + 1
-                return True
+            if j is None:  # d fills the last empty cell
+                if dfs(None, grown):
+                    nodes += digits.index(d) + 1
+                    return True
+                continue
+            a2, b2, c2 = used[v0], used[v1], used[v2]
+            taken2 = a2 | b2 | c2
+            for e in _LACKING[taken2 >> 1]:
+                if trace is not None:
+                    grown2 = hear(grown, digits2, taken2, e)
+                bit = 1 << e
+                grid[j] = e
+                used[v0], used[v1], used[v2] = a2 | bit, b2 | bit, c2 | bit
+                if dfs(below, grown2):
+                    nodes += digits2.index(e) + 1 + digits.index(d) + 1
+                    return True
+            used[v0], used[v1], used[v2] = a2, b2, c2
+            if trace is not None:
+                hear(grown, digits2, taken2, 10)
+            nodes += size2
         used[u0], used[u1], used[u2] = a, b, c
+        if trace is not None:
+            hear(prefix, digits, taken, 10)
         nodes += size
         return False
 
-    dfs(0, "")
+    dfs(frames, "")
     return solutions, nodes
 
 

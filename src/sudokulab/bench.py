@@ -115,13 +115,14 @@ def run_bench(
 ) -> list[BenchRecord]:
     """One report per (puzzle, method), each with its method's default config;
     annealing is seeded with base_seed + puzzle index, whatever the run order.
-    With ``jobs`` > 1 the runs go to a pool of at most one worker per run.
+    ``jobs`` is an int of at least 1; above 1 the runs go to a pool of at
+    most one worker per run.
     Every claimed solution is re-checked here; a board failing the check
     is demoted to unsolved rather than trusted."""
     if not suite.puzzles or not methods:
         raise ValueError("suite and methods must be nonempty")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if type(jobs) is not int or jobs < 1:   # NaN or True would run serially, 2.5 fail in the pool
+        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")

@@ -160,6 +160,39 @@ class TestPeerScanOracle:
             assert ours == theirs and len(ours) > 100
 
 
+class TestFrameEdges:
+    """The search, which places two steps per call, against the peer-scan
+    search, which places one, where the frames end: no step at all, a last
+    frame holding one step, and searches that end on a frame's second step."""
+
+    @staticmethod
+    def assert_same_search(board, cap):
+        assert backtracking._search(board, cap, None) == peer_scan_search(board, cap)
+        ours, theirs = [], []
+        traced = backtracking._search(board, cap, lambda p, ok: ours.append((p, ok)))
+        assert traced == peer_scan_search(board, cap, lambda p, ok: theirs.append((p, ok)))
+        assert ours == theirs
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    @pytest.mark.parametrize("holes", [0, 1, 2, 3])
+    def test_boards_cut_from_a_solution(self, sample_solution, holes, cap):
+        board = tuple(0 if i in (4, 22, 60)[:holes] else d for i, d in enumerate(sample_solution))
+        assert len(order_cells(board).cells) == holes
+        self.assert_same_search(board, cap)
+
+    @pytest.mark.parametrize("cap", range(1, 14))
+    def test_sample_at_every_cap(self, sample, cap):
+        board, _ = sample
+        assert len(order_cells(board).cells) % 2 == 0  # the last frame holds two steps
+        self.assert_same_search(board, cap)
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_odd_count_of_empty_cells(self, easy_suite, cap):
+        board = easy_suite.puzzles[0][1]
+        assert len(order_cells(board).cells) % 2 == 1  # the last frame holds one step
+        self.assert_same_search(board, cap)
+
+
 class TestLackingDigits:
     """The untraced search tries only the digits a cell's units lack, and
     still counts the rejected ones."""

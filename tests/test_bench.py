@@ -213,6 +213,17 @@ class TestRunBench:
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             run_bench(_tiny(easy_suite), methods=("backtracking",), jobs=jobs)
 
+    @pytest.mark.parametrize("jobs", [float("nan"), True, 2.5], ids=["nan", "True", "2.5"])
+    def test_non_int_job_count_rejected(self, easy_suite, monkeypatch, jobs):
+        # NaN and True ran serially; 2.5 reached the pool and raised TypeError there
+        def no_run(args):
+            raise AssertionError("a run started with an invalid job count")
+
+        monkeypatch.setattr("sudokulab.bench._run_job", no_run)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_run)
+        with pytest.raises(ValueError, match="jobs must be at least 1, got (nan|True|2.5)"):
+            run_bench(_tiny(easy_suite), methods=("backtracking",), jobs=jobs)
+
     def test_pool_bounded_by_runs(self, easy_suite, monkeypatch):
         asked = []
 
