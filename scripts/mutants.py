@@ -84,6 +84,12 @@ MUTANTS = (
     Mutant("annealing: fill swapped between clues and free cells", "src/sudokulab/annealing.py",
            "d if c else next(fill)", "next(fill) if c else d",
            ("tests/test_annealing.py",)),
+    Mutant("annealing: refresh skips b's neighbourhood", "src/sudokulab/annealing.py",
+           "(near[a], near[b])", "(near[a],)",
+           ("tests/test_annealing.py",)),
+    Mutant("annealing: neighbourhood drops the subgrid", "src/sudokulab/annealing.py",
+           "for u in cell_units[i] for j", "for u in cell_units[i][:2] for j",
+           ("tests/test_annealing.py",)),
     Mutant("bench: no fresh-pool retry of a lost run", "src/sudokulab/bench.py",
            "_pooled([a], 1)[0] if workers > 1 else ", "",
            ("tests/test_bench.py",)),

@@ -69,8 +69,8 @@ class AnnealState:
         self.board, self.cost, self.temperature, self.iteration, self.rng = board, cost, temperature, iteration, rng
         # caches kept consistent by the annealing loop, which maps each free
         # cell to its slot in _free itself; an accepted swap of da and db
-        # re-weighs only the free cells of the two cells' units that hold da
-        # or db, and the draw table is rebuilt from the lowest such slot
+        # re-weighs only the free cells near a or b (sharing a unit) that hold
+        # da or db, and the draw table is rebuilt from the lowest such slot
         self._counts: list[list[int]] = []   # 27 x 10 digit counts
         self._free: list[int] = []           # non-clue cell indices
         self._fw: list[float] = []           # weight per free slot
@@ -132,10 +132,12 @@ def anneal(
         # no swap can move, and the distinct second draw below would never
         # end; valid clues that leave fewer free cells are solved by the fill
         raise ValueError("need at least two non-clue cells to propose a swap")
-    # per cell its three count rows; per unit its free cells as (slot, cell, row0, row1, row2)
+    # per cell its three count rows; per free cell the free cells of its units, each
+    # once, as shared (slot, cell, row0, row1, row2) entries; None for a clue
     rows_of = [(counts[u0], counts[u1], counts[u2]) for u0, u1, u2 in cell_units]
-    slot_of = {i: slot for slot, i in enumerate(free)}
-    unit_free = [[(slot_of[i], i, *rows_of[i]) for i in cells if i in slot_of] for cells in UNITS]
+    entry = {i: (slot, i, *rows_of[i]) for slot, i in enumerate(free)}
+    near = [tuple({j: entry[j] for u in cell_units[i] for j in UNITS[u] if j in entry}.values())
+            if i in entry else None for i in range(81)]
 
     temp = t0
     cum = list(accumulate(fw))
@@ -179,11 +181,11 @@ def anneal(
                 board[a], board[b] = db, da
                 cost += delta
                 # only da's and db's counts moved, in the units of a and b, so
-                # only those units' cells holding da or db can re-weigh (a
-                # shared unit is visited twice, the second time to no effect)
+                # only the cells near a or b holding da or db can re-weigh (a
+                # cell near both a and b is visited twice, to no effect)
                 lo = nfree
-                for u in cell_units[a] + cell_units[b]:
-                    for slot, i, r0, r1, r2 in unit_free[u]:
+                for peers in (near[a], near[b]):
+                    for slot, i, r0, r1, r2 in peers:
                         d = board[i]
                         if d == da or d == db:
                             w = exp_degree[(r0[d] >= 2) + (r1[d] >= 2) + (r2[d] >= 2)]

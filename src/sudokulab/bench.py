@@ -122,7 +122,7 @@ def run_bench(
     if not suite.puzzles or not methods:
         raise ValueError("suite and methods must be nonempty")
     if type(jobs) is not int or jobs < 1:   # NaN or True would run serially, 2.5 fail in the pool
-        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
+        raise ValueError(f"jobs must be an int of at least 1, got {jobs!r}")
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")

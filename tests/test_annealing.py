@@ -354,6 +354,28 @@ class TestAnneal:
         r2 = anneal(board, mask, cfg)
         assert (r1.board, r1.work, r1.solved) == (r2.board, r2.work, r2.solved)
 
+    # default chains: (suite, puzzle index) -> final board, and per seed
+    # (work, final cost)
+    FROZEN = {
+        ("easy", 0): ("463271895157498263892356174345927681918564327276813459629135748734689512581742936",
+                      {0: (25_589, 0), 1: (27_417, 0)}),
+        ("easy", 1): ("182674359695832471347915862863491725521367948974528136456183297219746583738259614",
+                      {0: (25_425, 0), 1: (25_268, 0)}),
+        ("easy", 2): ("634517298952483167817269453581942736746135829293876541428391675375628914169754382",
+                      {0: (25_131, 0), 1: (28_213, 0)}),
+        ("medium", 3): ("561978432987342516342516879175423968823169754496857321234791685658234197719685243",
+                        {0: (30_681, 0), 1: (131_358, 0)}),
+    }
+
+    def test_frozen_chains(self, easy_suite, medium_suite):
+        suites = {"easy": easy_suite, "medium": medium_suite}
+        for (name, index), (line, runs) in self.FROZEN.items():
+            _, board, mask = suites[name].puzzles[index]
+            for seed, (work, cost) in runs.items():
+                report = anneal(board, mask, AnnealConfig(seed=seed))
+                got = (report.work, report.final_cost, "".join(map(str, report.board)))
+                assert got == (work, cost, line), (name, index, seed)
+
     def test_unsatisfiable_runs_out(self, unsat_puzzle):
         board, mask = unsat_puzzle
         cfg = AnnealConfig(max_iterations=20_000, reset_at=10_000, seed=0)

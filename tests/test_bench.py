@@ -210,7 +210,7 @@ class TestRunBench:
             raise AssertionError("a run started with an invalid job count")
 
         monkeypatch.setattr("sudokulab.bench._run_job", no_run)
-        with pytest.raises(ValueError, match="jobs must be at least 1"):
+        with pytest.raises(ValueError, match=r"^jobs must be an int of at least 1, got -?\d+$"):
             run_bench(_tiny(easy_suite), methods=("backtracking",), jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [float("nan"), True, 2.5], ids=["nan", "True", "2.5"])
@@ -221,7 +221,7 @@ class TestRunBench:
 
         monkeypatch.setattr("sudokulab.bench._run_job", no_run)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_run)
-        with pytest.raises(ValueError, match="jobs must be at least 1, got (nan|True|2.5)"):
+        with pytest.raises(ValueError, match=r"^jobs must be an int of at least 1, got (nan|True|2\.5)$"):
             run_bench(_tiny(easy_suite), methods=("backtracking",), jobs=jobs)
 
     def test_pool_bounded_by_runs(self, easy_suite, monkeypatch):

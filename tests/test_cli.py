@@ -252,7 +252,7 @@ class TestBench:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == f"error: jobs must be at least 1, got {jobs}\n"
+        assert captured.err == f"error: jobs must be an int of at least 1, got {jobs}\n"
 
     def test_missing_suite_file_exits_2(self, tmp_path):
         assert run_cli(["bench", "--suite", str(tmp_path / "none.txt")]) == 2
