@@ -100,7 +100,13 @@ MUTANTS = (
            "project_simplex(y + fam.pad)", "project_simplex(y)",
            ("tests/test_projections.py",)),
     Mutant("projection: solved test takes any in place of all", "src/sudokulab/projections.py",
-           "== np.arange(9)).all())", "== np.arange(9)).any())",
+           "== 511.0).all())", "== 511.0).any())",
+           ("tests/test_projections.py",)),
+    Mutant("projection: solved test's incidence drops the subgrids", "src/sudokulab/projections.py",
+           "np.eye(81)[_UNITS].sum(axis=1)", "np.eye(81)[_UNITS[:18]].sum(axis=1)",
+           ("tests/test_projections.py",)),
+    Mutant("projection: simplex threshold drops the minus one", "src/sudokulab/projections.py",
+           "    thr -= 1.0\n", "",
            ("tests/test_projections.py",)),
     Mutant("projection: rounding not tested before each sweep", "src/sudokulab/projections.py",
            "while not _rounds_solved(tensor) and ", "while ",

@@ -94,11 +94,15 @@ def project_simplex(point) -> np.ndarray:
     if w[:, 0].min() == -np.inf:
         raise ValueError("every point needs an entry above -inf")
     rows, steps = _ranges(*pts.shape)
-    thr = (np.cumsum(w, axis=1) - 1.0) / steps
+    thr = np.add.accumulate(w, axis=1)   # the running sums, then in place (sum - 1)/k
+    thr -= 1.0
+    thr /= steps
     # w_1 > w_1 - 1 always holds, so every point keeps at least one entry;
     # the threshold is the one at the last entry where the test holds
-    last = pts.shape[1] - 1 - np.argmax((w > thr)[:, ::-1], axis=1)
-    return np.maximum(pts - thr[rows, last][:, None], 0.0).reshape(y.shape)
+    last = pts.shape[1] - 1 - (w > thr)[:, ::-1].argmax(axis=1)
+    out = pts - thr[rows, last][:, None]   # a new array, so the input stays as it was
+    np.maximum(out, 0.0, out=out)
+    return out.reshape(y.shape)
 
 
 @functools.lru_cache(maxsize=128)
@@ -123,7 +127,10 @@ _MEMBERS = np.concatenate([
 #: The (729, 4) ids of the row, column, subgrid and cell slice through each entry.
 _SLICE_OF = np.empty((729, 4), dtype=np.intp)
 _SLICE_OF[_MEMBERS, np.arange(324)[:, None] // 81] = np.arange(324)[:, None]
+_INCIDENCE = np.eye(81)[_UNITS].sum(axis=1)   # (27, 81) 0/1: cell c lies in unit u
+_BITS = 2.0 ** np.arange(9)                    # digit k weighs 2**k in the solved test
 _UNITS.flags.writeable = _MEMBERS.flags.writeable = _SLICE_OF.flags.writeable = False
+_INCIDENCE.flags.writeable = _BITS.flags.writeable = False
 
 
 def build_constraint_plan(puzzle: Board, clue_mask: ClueMask) -> tuple[np.ndarray, ConstraintPlan]:
@@ -177,9 +184,11 @@ def round_tensor(tensor: np.ndarray) -> Board:
 
 def _rounds_solved(tensor: np.ndarray) -> bool:
     """``is_solved(round_tensor(tensor))`` read off the tensor: every unit's
-    cells take nine different argmax digits, ties going the same way."""
-    digits = np.argmax(tensor.reshape(81, 9), axis=1)
-    return bool((np.sort(digits[_UNITS], axis=1) == np.arange(9)).all())
+    cells take nine different argmax digits, ties going the same way.  One
+    incidence product sums 2**k over each unit's digits k; nine powers of two
+    sum to 511 only if all nine differ, and such integer sums are exact in float64."""
+    digits = tensor.reshape(81, 9).argmax(axis=1)
+    return bool((_INCIDENCE @ _BITS[digits] == 511.0).all())
 
 
 def solve_by_projection(

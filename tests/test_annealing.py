@@ -347,6 +347,22 @@ class TestAnneal:
         assert report.solved
         assert report.wall_time >= 0.05
 
+    def test_wall_time_leaves_out_observer(self, easy_suite):
+        _, board, mask = easy_suite.puzzles[0]
+        cfg = AnnealConfig(max_iterations=100, reset_at=50)
+        slept = []
+
+        def sleeper(state):
+            start = time.perf_counter()
+            time.sleep(0.002)
+            slept.append(time.perf_counter() - start)
+
+        report = anneal(board, mask, cfg, sleeper)
+        plain = anneal(board, mask, cfg)
+        assert (report.board, report.work) == (plain.board, plain.work) and len(slept) == report.work
+        # 100 sleeps take at least 0.2 s; the chain alone takes about a millisecond
+        assert report.wall_time < sum(slept) / 4
+
     def test_deterministic(self, easy_suite):
         _, board, mask = easy_suite.puzzles[1]
         cfg = AnnealConfig(seed=3)

@@ -51,6 +51,21 @@ def padded_stacks(draw):
     return np.where(present, y, -np.inf)
 
 
+@st.composite
+def drawn_boards(draw):
+    """A full board: a solution with its digits relabelled, the same with
+    two cells swapped, or a grid of random digits."""
+    kind = draw(st.sampled_from(["relabelled", "swapped", "random"]))
+    if kind == "random":
+        return tuple(draw(st.lists(st.integers(1, 9), min_size=81, max_size=81)))
+    relabel = draw(st.permutations(range(1, 10)))
+    board = [relabel[d - 1] for d in _FULL]
+    if kind == "swapped":
+        a, b = draw(st.lists(st.integers(0, 80), min_size=2, max_size=2, unique=True))
+        board[a], board[b] = board[b], board[a]
+    return tuple(board)
+
+
 def _bundled(name):
     return load_suite(suite_path(name), name).puzzles
 
@@ -168,8 +183,10 @@ class TestSimplex:
     @example(np.array([[-np.inf, 0.5, -np.inf], [0.2, 0.2, 0.2], [1.0, 1.0, -np.inf]]))
     def test_matches_reference_on_padded_stacks(self, stack):
         # the same floating-point operations as the reference, so the same bytes
+        before = stack.tobytes()
         assert project_simplex(stack).tobytes() == reference_simplex(stack).tobytes()
         assert project_simplex(stack[0]).tobytes() == reference_simplex(stack[0]).tobytes()
+        assert stack.tobytes() == before   # the kernel writes only into its own buffers
 
     def test_kkt_threshold(self):
         y = np.array([0.9, 0.6, -0.4])
@@ -325,6 +342,11 @@ class TestRoundsSolved:
                         break
                     sweep(tensor, plan)
         assert seen == {True, False}
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_boards())
+    def test_matches_is_solved_on_drawn_boards(self, board):
+        assert projections._rounds_solved(_indicator(board)) == is_solved(board)
 
 
 class TestConfig:
