@@ -54,8 +54,9 @@ def padded_stacks(draw):
 @st.composite
 def drawn_boards(draw):
     """A full board: a solution with its digits relabelled, the same with
-    two cells swapped, or a grid of random digits."""
-    kind = draw(st.sampled_from(["relabelled", "swapped", "random"]))
+    two cells swapped or with two rows of different bands swapped (rows and
+    columns stay whole, subgrids repeat digits), or a grid of random digits."""
+    kind = draw(st.sampled_from(["relabelled", "swapped", "rows", "random"]))
     if kind == "random":
         return tuple(draw(st.lists(st.integers(1, 9), min_size=81, max_size=81)))
     relabel = draw(st.permutations(range(1, 10)))
@@ -63,6 +64,10 @@ def drawn_boards(draw):
     if kind == "swapped":
         a, b = draw(st.lists(st.integers(0, 80), min_size=2, max_size=2, unique=True))
         board[a], board[b] = board[b], board[a]
+    if kind == "rows":
+        r = draw(st.integers(0, 8))
+        q = (r + 3 * draw(st.integers(1, 2))) % 9
+        board[9 * r:9 * r + 9], board[9 * q:9 * q + 9] = board[9 * q:9 * q + 9], board[9 * r:9 * r + 9]
     return tuple(board)
 
 
