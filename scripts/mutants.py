@@ -66,8 +66,11 @@ MUTANTS = (
     Mutant("exact search: inner success count drops the first step's attempts", "src/sudokulab/backtracking.py",
            "digits2.index(e) + 1 + digits.index(d) + 1", "digits2.index(e) + 1",
            ("tests/test_backtracking.py",)),
-    Mutant("exact search: hook helper skips the rejected digits left after the loop", "src/sudokulab/backtracking.py",
-           "        for x in digits:\n            if last < x <= d:", "        for x in digits if d < 10 else ():\n            if last < x <= d:",
+    Mutant("exact search: the hook is told every listed digit is feasible", "src/sudokulab/backtracking.py",
+           "trace(grown, not taken >> d & 1)", "trace(grown, True)",
+           ("tests/test_backtracking.py",)),
+    Mutant("exact search: the second step's traced loop places a rejected digit", "src/sudokulab/backtracking.py",
+           "                    if taken2 >> e & 1:\n                        continue\n", "",
            ("tests/test_backtracking.py",)),
     Mutant("annealing: draw-table rebuild starts from a stale sum", "src/sudokulab/annealing.py",
            "cum[lo - 1] + fw[lo]", "cum[lo]",
@@ -146,6 +149,12 @@ MUTANTS = (
     Mutant("bench: job count type check dropped", "src/sudokulab/bench.py",
            "if type(jobs) is not int or jobs < 1:", "if jobs < 1:",
            ("tests/test_bench.py",)),
+    Mutant("cli: one file taken for both bench output paths", "src/sudokulab/cli.py",
+           "if len({Path(p).resolve() for p in paths}) < len(paths):", "if False:",
+           ("tests/test_cli.py",)),
+    Mutant("annealing: negative seed accepted", "src/sudokulab/annealing.py",
+           "        if self.seed < 0:", "        if False:",
+           ("tests/test_annealing.py",)),
     Mutant("cli: a puzzle may come inline and from --input at once", "src/sudokulab/cli.py",
            "source = sub.add_mutually_exclusive_group(required=True)", "source = sub",
            ("tests/test_cli.py",)),

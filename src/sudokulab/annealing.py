@@ -55,6 +55,8 @@ class AnnealConfig(_AnnealFields):
             raise ValueError("cooling_period, max_iterations, reset_at and seed must be ints")
         if self.cooling_period < 1 or self.max_iterations < 1:
             raise ValueError("cooling_period and max_iterations must be positive")
+        if self.seed < 0:   # random.Random(-5) draws what random.Random(5) draws
+            raise ValueError("seed must be nonnegative")
         if not 1 <= self.reset_at <= self.max_iterations:
             raise ValueError("reset_at must lie in [1, max_iterations]")
         return self

@@ -9,8 +9,8 @@ units and its digit list; one call places two consecutive steps, the second in
 the first's digit loop.  Each step reads its three masks once, tries only the
 digits its units still lack (read from a 512-entry table), places one by
 writing the masks with its bit, and restores them once after its loop.  The
-rejected digits still count as placement attempts, and a trace hook hears them
-from the same loop.
+rejected digits still count as placement attempts.  A traced search walks each
+step's whole list instead, telling the hook each digit in that same loop.
 Enumeration thus yields complete solutions in the dictionary order induced by
 the cell ordering; exhausting the tree proves uniqueness or unsatisfiability.
 """
@@ -76,8 +76,8 @@ def enumerate_solutions(
 
 
 def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board], int]:
-    """Up to ``cap`` solutions and the number of placement attempts made; one
-    ``dfs`` call places two steps, and a hook hears rejected digits from its loops."""
+    """Up to ``cap`` solutions and the number of placement attempts made; one ``dfs`` call
+    places two steps, and a traced step's loop walks its whole list, telling the hook each digit."""
     if type(cap) is not int or cap < 1:   # NaN or 1.5 would let the search run past the cap
         raise ValueError("cap must be an int >= 1")
     used = unit_masks(board)  # per unit, bit d set while digit d is in it
@@ -93,15 +93,6 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
     solutions: list[Board] = []
     nodes = 0
 
-    def hear(prefix: str, digits: tuple[int, ...], taken: int, d: int) -> str:
-        """Tell ``trace`` the listed digits since the last feasible one below ``d``
-        as rejected, then ``d`` as feasible; ``d`` = 10 tells those after the loop."""
-        last = (~taken & (1 << d) - 2).bit_length() - 1  # -1 if none below d is feasible
-        for x in digits:
-            if last < x <= d:
-                trace(prefix + str(x), x == d)
-        return prefix + str(d)
-
     def dfs(frame, prefix: str) -> bool:
         nonlocal nodes
         if frame is None:
@@ -110,13 +101,16 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
         i, u0, u1, u2, digits, size, j, v0, v1, v2, digits2, size2, below = frame
         a, b, c = used[u0], used[u1], used[u2]  # restored after the loop, or the search ends
         taken = a | b | c
-        # only the digits the units lack are placed: as used only gains bits along
-        # a path, they are the feasible part of digits, in order.  Each step counts
-        # all of its digits as attempts, or those up to the one that ended the search
+        # only the digits the units lack are placed: as used only gains bits along a path, they
+        # are the feasible part of digits, in order, so a traced step walks digits and tells the
+        # hook each.  A step counts its digits as attempts: all, or up to the one ending the search
         grown = grown2 = prefix  # digits placed so far, in search order; grown only for a trace hook
-        for d in _LACKING[taken >> 1]:
+        for d in _LACKING[taken >> 1] if trace is None else digits:
             if trace is not None:
-                grown = hear(prefix, digits, taken, d)
+                grown = prefix + str(d)
+                trace(grown, not taken >> d & 1)
+                if taken >> d & 1:
+                    continue
             bit = 1 << d
             grid[i] = d  # every cell below is rewritten before the grid is copied
             used[u0], used[u1], used[u2] = a | bit, b | bit, c | bit
@@ -127,9 +121,12 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
                 continue
             a2, b2, c2 = used[v0], used[v1], used[v2]
             taken2 = a2 | b2 | c2
-            for e in _LACKING[taken2 >> 1]:
+            for e in _LACKING[taken2 >> 1] if trace is None else digits2:
                 if trace is not None:
-                    grown2 = hear(grown, digits2, taken2, e)
+                    grown2 = grown + str(e)
+                    trace(grown2, not taken2 >> e & 1)
+                    if taken2 >> e & 1:
+                        continue
                 bit = 1 << e
                 grid[j] = e
                 used[v0], used[v1], used[v2] = a2 | bit, b2 | bit, c2 | bit
@@ -137,12 +134,8 @@ def _search(board: Board, cap: int, trace: TraceHook | None) -> tuple[list[Board
                     nodes += digits2.index(e) + 1 + digits.index(d) + 1
                     return True
             used[v0], used[v1], used[v2] = a2, b2, c2
-            if trace is not None:
-                hear(grown, digits2, taken2, 10)
             nodes += size2
         used[u0], used[u1], used[u2] = a, b, c
-        if trace is not None:
-            hear(prefix, digits, taken, 10)
         nodes += size
         return False
 

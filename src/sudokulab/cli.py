@@ -103,10 +103,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    for path in (p for p in (args.csv, args.stats_csv) if p is not None):
+    paths = [p for p in (args.csv, args.stats_csv) if p is not None]
+    for path in paths:
         # checked before the runs, which a failed write would lose
         if Path(path).is_dir() or not Path(path).parent.is_dir():
             raise OSError(f"cannot write {path}: it is a directory, or its directory is missing")
+    if len({Path(p).resolve() for p in paths}) < len(paths):   # the stats would overwrite the runs
+        raise ValueError(f"--csv and --stats-csv name the same file: {args.stats_csv}")
     suite = bench.load_suite(args.suite, name=Path(args.suite).stem)
     records = bench.run_bench(
         suite, methods=methods, base_seed=args.base_seed, jobs=args.jobs

@@ -59,6 +59,7 @@ class TestConfig:
         {"seed": None},   # random.Random(None) would seed from the OS
         {"seed": 2.5},
         {"seed": True},
+        {"seed": -1},   # random.Random(-1) would run seed 1's chain
     ]
 
     @pytest.mark.parametrize("kwargs", BAD)

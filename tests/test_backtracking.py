@@ -152,12 +152,18 @@ class TestPeerScanOracle:
             for cap in (1, 2):
                 assert backtracking._search(board, cap, None) == peer_scan_search(board, cap)
 
-    def test_trace_events(self, sample, easy_suite):
-        for board, mask in (sample, easy_suite.puzzles[0][1:]):
-            ours, theirs = [], []
-            enumerate_solutions(board, mask, cap=2, trace=lambda p, ok: ours.append((p, ok)))
-            peer_scan_search(board, 2, lambda p, ok: theirs.append((p, ok)))
-            assert ours == theirs and len(ours) > 100
+    def test_trace_events(self, sample, unsat_puzzle, easy_suite, medium_suite):
+        puzzles = [sample, unsat_puzzle]
+        puzzles += [(b, m) for suite in (easy_suite, medium_suite) for _, b, m in suite.puzzles]
+        total = 0
+        for board, mask in puzzles:
+            for cap in (1, 2):
+                ours, theirs = [], []
+                enumerate_solutions(board, mask, cap=cap, trace=lambda p, ok: ours.append((p, ok)))
+                peer_scan_search(board, cap, lambda p, ok: theirs.append((p, ok)))
+                assert ours == theirs, (puzzles.index((board, mask)), cap)
+                total += len(ours)
+        assert total > 60_000
 
 
 class TestFrameEdges:
@@ -242,7 +248,7 @@ class TestLackingDigits:
         def hook(prefix, ok):
             events.append(ok)
             if len(events) > 50_000:
-                # about 0.07 s of tracing; a few drawn boards need millions of
+                # about 0.03 s of tracing; a few drawn boards need millions of
                 # attempts, and test_frozen_counts covers trees that large
                 reject()
 

@@ -275,6 +275,17 @@ class TestBench:
         assert captured.err.startswith(f"error: cannot write {tmp_path / name}")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("stats_name", ["out.csv", "./out.csv"])
+    def test_one_file_for_both_outputs_exits_2_before_any_run(self, tmp_path, no_run, capsys, stats_name):
+        # the stats table would overwrite the run reports
+        code = run_cli(["bench", "--suite", str(suite_path("easy")), "--methods", "backtracking",
+                        "--csv", str(tmp_path / "out.csv"), "--stats-csv", f"{tmp_path}/{stats_name}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --csv and --stats-csv name the same file")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["--csv", "--stats-csv"])
     def test_empty_output_path_exits_2_before_any_run(self, no_run, capsys, flag):
         # an empty path names the working directory, not an unset flag
