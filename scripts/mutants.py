@@ -72,8 +72,11 @@ MUTANTS = (
     Mutant("exact search: the second step's traced loop places a rejected digit", "src/sudokulab/backtracking.py",
            "                    if taken2 >> e & 1:\n                        continue\n", "",
            ("tests/test_backtracking.py",)),
-    Mutant("annealing: draw-table rebuild starts from a stale sum", "src/sudokulab/annealing.py",
-           "cum[lo - 1] + fw[lo]", "cum[lo]",
+    Mutant("annealing: draw table not rebuilt after an accepted swap", "src/sudokulab/annealing.py",
+           "                cum[:] = accumulate(fw)\n", "",
+           ("tests/test_annealing.py",)),
+    Mutant("annealing: refresh re-weighs only the cells holding da", "src/sudokulab/annealing.py",
+           "if d == da or d == db:", "if d == da:",
            ("tests/test_annealing.py",)),
     Mutant("annealing: chain runs on past cost 0", "src/sudokulab/annealing.py",
            "    while cost and n < max_iters:\n", "    while n < max_iters:\n",
@@ -110,6 +113,9 @@ MUTANTS = (
            ("tests/test_projections.py",)),
     Mutant("projection: simplex threshold drops the minus one", "src/sudokulab/projections.py",
            "    thr -= 1.0\n", "",
+           ("tests/test_projections.py",)),
+    Mutant("projection: simplex check rejects only all-absent points", "src/sudokulab/projections.py",
+           "if not math.isfinite(tau.sum()):", "if w[:, 0].min() == -np.inf:",
            ("tests/test_projections.py",)),
     Mutant("projection: rounding not tested before each sweep", "src/sudokulab/projections.py",
            "while not _rounds_solved(tensor) and ", "while ",

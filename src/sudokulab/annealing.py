@@ -72,7 +72,7 @@ class AnnealState:
         # caches kept consistent by the annealing loop, which maps each free
         # cell to its slot in _free itself; an accepted swap of da and db
         # re-weighs only the free cells near a or b (sharing a unit) that hold
-        # da or db, and the draw table is rebuilt from the lowest such slot
+        # da or db, and then rebuilds the whole draw table
         self._counts: list[list[int]] = []   # 27 x 10 digit counts
         self._free: list[int] = []           # non-clue cell indices
         self._fw: list[float] = []           # weight per free slot
@@ -186,20 +186,12 @@ def anneal(
                 # only da's and db's counts moved, in the units of a and b, so
                 # only the cells near a or b holding da or db can re-weigh (a
                 # cell near both a and b is visited twice, to no effect)
-                lo = nfree
                 for peers in (near[a], near[b]):
                     for slot, i, r0, r1, r2 in peers:
                         d = board[i]
                         if d == da or d == db:
-                            w = exp_degree[(r0[d] >= 2) + (r1[d] >= 2) + (r2[d] >= 2)]
-                            if w != fw[slot]:
-                                fw[slot] = w
-                                if slot < lo:
-                                    lo = slot
-                if lo < nfree:
-                    # accumulate adds left to right, so rebuilding from the
-                    # lowest changed slot gives the floats of a full rebuild
-                    cum[lo:] = accumulate(fw[lo + 1:], initial=cum[lo - 1] + fw[lo] if lo else fw[lo])
+                            fw[slot] = exp_degree[(r0[d] >= 2) + (r1[d] >= 2) + (r2[d] >= 2)]
+                cum[:] = accumulate(fw)
             else:
                 # revert the tentative count shift
                 for row in rows_a:

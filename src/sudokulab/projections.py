@@ -16,6 +16,7 @@ rounded to a board by imputing each cell's most probable digit.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from typing import NamedTuple
 
@@ -81,7 +82,8 @@ def project_simplex(point) -> np.ndarray:
     """Euclidean projection onto {x : x >= 0, sum(x) = 1}.
 
     A 2-d ``point`` is a stack of points, each row projected on its own.
-    A ``-inf`` entry is absent from its point and comes out as 0.
+    A ``-inf`` entry is absent from its point and comes out as 0.  Raises
+    ``ValueError`` for a NaN or +inf entry and for a point with no finite one.
 
     Sort descending, keep the largest k with w_k > (sum of the top k - 1)/k,
     and clip at the resulting threshold.  O(d log d), exact up to round-off.
@@ -91,16 +93,19 @@ def project_simplex(point) -> np.ndarray:
         raise ValueError("point must be a nonempty 1-d vector or 2-d stack of them")
     pts = y.reshape(-1, y.shape[-1])   # a 1-d point is a stack of one
     w = np.sort(pts, axis=1)[:, ::-1]
-    if w[:, 0].min() == -np.inf:
-        raise ValueError("every point needs an entry above -inf")
     rows, steps = _ranges(*pts.shape)
     thr = np.add.accumulate(w, axis=1)   # the running sums, then in place (sum - 1)/k
     thr -= 1.0
     thr /= steps
-    # w_1 > w_1 - 1 always holds, so every point keeps at least one entry;
-    # the threshold is the one at the last entry where the test holds
+    # w_1 > w_1 - 1 holds while |w_1| < 2**53, so every such point keeps at
+    # least one entry; the threshold is the one at the last entry where the test holds
     last = pts.shape[1] - 1 - (w > thr)[:, ::-1].argmax(axis=1)
-    out = pts - thr[rows, last][:, None]   # a new array, so the input stays as it was
+    tau = thr[rows, last]
+    # the thresholds' sum is not finite iff a point is all -inf, holds a NaN or
+    # +inf, or overflows (entries near the float maximum, far past 2**53)
+    if not math.isfinite(tau.sum()):
+        raise ValueError("every point needs a finite entry, and no NaN or +inf one")
+    out = pts - tau[:, None]   # a new array, so the input stays as it was
     np.maximum(out, 0.0, out=out)
     return out.reshape(y.shape)
 

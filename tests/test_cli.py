@@ -254,6 +254,18 @@ class TestBench:
         assert captured.out == ""
         assert captured.err == f"error: jobs must be an int of at least 1, got {jobs}\n"
 
+    def test_negative_base_seed_exits_2_before_any_run(self, monkeypatch, capsys):
+        def no_job(*args, **kwargs):
+            pytest.fail("a run started with a negative seed")
+
+        monkeypatch.setattr("sudokulab.bench._run_job", no_job)
+        code = run_cli(["bench", "--suite", str(suite_path("easy")), "--methods", "annealing",
+                        "--base-seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: seed must be nonnegative\n"
+
     def test_missing_suite_file_exits_2(self, tmp_path):
         assert run_cli(["bench", "--suite", str(tmp_path / "none.txt")]) == 2
 

@@ -138,8 +138,9 @@ class TestSimplex:
     @pytest.mark.parametrize(
         "point",
         [np.float64(1.0), np.zeros((2, 2, 2)), np.zeros((0, 9)), np.zeros((3, 0)),
-         np.array([[1.0, 0.0], [-np.inf, -np.inf]])],
-        ids=["0-d", "3-d", "no-rows", "empty-rows", "all-absent-row"],
+         np.array([[1.0, 0.0], [-np.inf, -np.inf]]), np.array([np.nan, 1.0]), np.array([np.inf, 0.0]),
+         np.array([[1.0, 0.0], [0.5, np.nan]]), np.array([[1.0, 0.0, 0.0], [0.0, np.inf, -1.0]])],
+        ids=["0-d", "3-d", "no-rows", "empty-rows", "all-absent-row", "nan", "inf", "nan-row", "inf-row"],
     )
     def test_bad_shapes_rejected(self, point):
         with pytest.raises(ValueError):
