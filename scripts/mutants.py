@@ -173,6 +173,12 @@ MUTANTS = (
     Mutant("report: dataclasses imported at the top", "src/sudokulab/report.py",
            "from typing import NamedTuple\n", "from dataclasses import dataclass\nfrom typing import NamedTuple\n",
            ("tests/test_cli.py",)),
+    Mutant("annealing: reset_at below 1 accepted", "src/sudokulab/annealing.py",
+           "if not 1 <= self.reset_at <= self.max_iterations:", "if not self.reset_at <= self.max_iterations:",
+           ("tests/test_annealing.py",)),
+    Mutant("search order: ties broken by descending index", "src/sudokulab/backtracking.py",
+           "    entries.sort()", "    entries.sort(key=lambda e: (e[0], -e[1]))",
+           ("tests/test_backtracking.py",)),
 )
 
 

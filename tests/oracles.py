@@ -1,5 +1,7 @@
 """Independent reference implementations used only to cross-check the
-package; deliberately simple and slow."""
+package; deliberately simple and slow.  They import nothing from the
+package, and every one that reads the grid's geometry reads it from the
+unit table that ``reference_units`` builds from coordinates."""
 from __future__ import annotations
 
 import math
@@ -7,21 +9,52 @@ from itertools import combinations
 
 import numpy as np
 
-from sudokulab.backtracking import order_cells
-from sudokulab.board import cell_index
-
 #: entry codes of ``reference_plan``'s status vector
 FREE, FIXED_ZERO, FIXED_ONE = 0, 1, 2
 
 
+def reference_units():
+    """The 27 units as tuples of flat cell indices: the rows, the columns,
+    then the subgrids in row-major block order, each cell list row-major."""
+    rows = [tuple(range(r * 9, r * 9 + 9)) for r in range(9)]
+    cols = [tuple(range(c, 81, 9)) for c in range(9)]
+    boxes = []
+    for br in (0, 3, 6):
+        for bc in (0, 3, 6):
+            boxes.append(tuple((br + r) * 9 + (bc + c) for r in range(3) for c in range(3)))
+    return rows + cols + boxes
+
+
+_UNITS = reference_units()
+#: per flat cell index, the ids of the 3 units that hold it, by searching all 27
+_CELL_UNITS = [tuple(u for u, unit in enumerate(_UNITS) if i in unit) for i in range(81)]
+#: per flat cell index, the other cells of its three units, sorted
+_PEERS = [tuple(sorted({j for u in _CELL_UNITS[i] for j in _UNITS[u]} - {i})) for i in range(81)]
+
+
+def reference_cell_units():
+    """For each flat cell index, the ids of the 3 ``reference_units`` that hold it."""
+    return list(_CELL_UNITS)
+
+
+def reference_peers():
+    """For each flat cell index, the other cells of its three units, sorted."""
+    return list(_PEERS)
+
+
 def _free_digits(g, i):
     """Digits missing from the row, column and subgrid of flat index i."""
-    r, c = divmod(i, 9)
-    row = {g[r * 9 + k] for k in range(9)}
-    col = {g[k * 9 + c] for k in range(9)}
-    br, bc = 3 * (r // 3), 3 * (c // 3)
-    box = {g[(br + x) * 9 + bc + y] for x in range(3) for y in range(3)}
-    return set(range(1, 10)) - row - col - box
+    return set(range(1, 10)) - {g[j] for u in _CELL_UNITS[i] for j in _UNITS[u]}
+
+
+def unit_scan_digits(board):
+    """The filled digits of each unit, in ``reference_units`` order."""
+    return [[board[j] for j in unit if board[j]] for unit in _UNITS]
+
+
+def unit_scan_solved(board) -> bool:
+    """Full-board check: every unit holds each digit 1..9 once."""
+    return all({board[j] for j in unit} == set(range(1, 10)) for unit in _UNITS)
 
 
 def solve_all(board, cap=10):
@@ -49,47 +82,16 @@ def solve_all(board, cap=10):
     return sols
 
 
-def search_head(board, count):
-    """First ``count`` placement events, as (digit prefix, feasible), of
-    the static-order search stopped at its first solution: empty cells
-    sorted by (unit-scan list size, row-major index), each list tried in
-    ascending digit order, a digit rejected when a unit already holds it."""
-    g = list(board)
-    lists = {i: sorted(_free_digits(g, i)) for i in range(81) if g[i] == 0}
-    order = sorted(lists, key=lambda i: (len(lists[i]), i))
-    events = []
-
-    def rec(depth, prefix):
-        if depth == len(order):
-            return True
-        i = order[depth]
-        for d in lists[i]:
-            if len(events) >= count:
-                return True
-            ok = d in _free_digits(g, i)
-            events.append((prefix + str(d), ok))
-            if ok:
-                g[i] = d
-                done = rec(depth + 1, prefix + str(d))
-                g[i] = 0
-                if done:
-                    return True
-        return False
-
-    rec(0, "")
-    return events
-
-
 def peer_scan_search(board, cap, trace=None):
-    """(up to ``cap`` solutions, placement attempts) of the package's
-    static-order search, each placement tested by scanning the cell's 20
-    peers on the grid; attempts are counted as ``backtracking.solve``
-    counts them, and ``trace`` receives the same (prefix, feasible) calls."""
-    order = order_cells(board)
-    cells = [cell_index(r, c) for r, c in order.cells]
-    lists = order.lists
-    peers = reference_peers()
+    """(up to ``cap`` solutions, placement attempts) of the static-order
+    search: empty cells sorted by (unit-scan list size, row-major index),
+    each list tried in ascending digit order, each placement tested by
+    scanning the cell's 20 peers on the grid.  Attempts are counted as
+    ``backtracking.solve`` counts them, and ``trace`` receives the same
+    (digit prefix, feasible) calls as the package's trace hook."""
     grid = list(board)
+    lists = {i: sorted(_free_digits(grid, i)) for i in range(81) if grid[i] == 0}
+    cells = sorted(lists, key=lambda i: (len(lists[i]), i))
     solutions = []
     n = len(cells)
     nodes = 0
@@ -100,9 +102,9 @@ def peer_scan_search(board, cap, trace=None):
             solutions.append(tuple(grid))
             return len(solutions) >= cap
         i = cells[depth]
-        digits = lists[depth]
+        digits = lists[i]
         for d in digits:
-            ok = all(grid[j] != d for j in peers[i])
+            ok = all(grid[j] != d for j in _PEERS[i])
             if trace is not None:
                 trace("".join(str(grid[c]) for c in cells[:depth]) + str(d), ok)
             if ok:
@@ -116,6 +118,14 @@ def peer_scan_search(board, cap, trace=None):
 
     dfs(0)
     return solutions, nodes
+
+
+def search_head(board, count):
+    """First ``count`` placement events, as (digit prefix, feasible), of
+    ``peer_scan_search`` stopped at its first solution."""
+    events = []
+    peer_scan_search(board, 1, lambda prefix, ok: events.append((prefix, ok)))
+    return events[:count]
 
 
 def weighted_draw(weights, rng):
@@ -151,62 +161,6 @@ def acceptance_probability(cost_current, cost_proposed, temperature):
     if cost_proposed <= cost_current:
         return 1.0
     return math.exp((cost_current - cost_proposed) / temperature)
-
-
-def reference_units():
-    """The 27 units as tuples of flat cell indices: the rows, the columns,
-    then the subgrids in row-major block order, each cell list row-major."""
-    rows = [tuple(range(r * 9, r * 9 + 9)) for r in range(9)]
-    cols = [tuple(range(c, 81, 9)) for c in range(9)]
-    boxes = []
-    for br in (0, 3, 6):
-        for bc in (0, 3, 6):
-            boxes.append(tuple((br + r) * 9 + (bc + c) for r in range(3) for c in range(3)))
-    return rows + cols + boxes
-
-
-def reference_cell_units():
-    """For each flat cell index, the ids of the 3 ``reference_units`` that
-    hold it, by searching all 27."""
-    units = reference_units()
-    return [tuple(u for u, unit in enumerate(units) if i in unit) for i in range(81)]
-
-
-def reference_peers():
-    """For each flat cell index, the other cells of its three units, sorted."""
-    units = reference_units()
-    return [tuple(sorted({j for unit in units if i in unit for j in unit} - {i})) for i in range(81)]
-
-
-def unit_scan_digits(board):
-    """The filled digits of each unit, rows, then columns, then subgrids
-    in row-major block order, by scanning the coordinates."""
-    units = [[board[r * 9 + c] for c in range(9)] for r in range(9)]
-    units += [[board[r * 9 + c] for r in range(9)] for c in range(9)]
-    units += [
-        [board[(br + x) * 9 + bc + y] for x in range(3) for y in range(3)]
-        for br in (0, 3, 6)
-        for bc in (0, 3, 6)
-    ]
-    return [[d for d in unit if d] for unit in units]
-
-
-def unit_scan_solved(board) -> bool:
-    """Full-board check by scanning all rows, columns, and subgrids."""
-    if any(d == 0 for d in board):
-        return False
-    full = set(range(1, 10))
-    for r in range(9):
-        if {board[r * 9 + c] for c in range(9)} != full:
-            return False
-    for c in range(9):
-        if {board[r * 9 + c] for r in range(9)} != full:
-            return False
-    for br in (0, 3, 6):
-        for bc in (0, 3, 6):
-            if {board[(br + x) * 9 + bc + y] for x in range(3) for y in range(3)} != full:
-                return False
-    return True
 
 
 def reference_simplex(point) -> np.ndarray:
@@ -263,27 +217,12 @@ def brute_force_simplex(y):
 
 def _constraint_slices():
     """The 324 constraint slices as (kind, 9 flat tensor indices) in sweep
-    order: rows, columns, subgrids, then cell distributions."""
-    def flat(i, j, k):
-        return (i * 9 + j) * 9 + k
-
-    out = []
-    for i in range(9):
-        for k in range(9):
-            out.append(("row", tuple(flat(i, j, k) for j in range(9))))
-    for j in range(9):
-        for k in range(9):
-            out.append(("column", tuple(flat(i, j, k) for i in range(9))))
-    for a in (0, 3, 6):
-        for b in (0, 3, 6):
-            for k in range(9):
-                out.append(
-                    ("subgrid", tuple(flat(a + i, b + j, k) for i in range(3) for j in range(3)))
-                )
-    for i in range(9):
-        for j in range(9):
-            out.append(("cell", tuple(flat(i, j, k) for k in range(9))))
-    return out
+    order: one per unit and digit, rows, columns and subgrids, then the
+    cell distributions."""
+    kinds = ("row", "column", "subgrid")
+    units = [(kinds[u // 9], tuple(i * 9 + k for i in unit))
+             for u, unit in enumerate(_UNITS) for k in range(9)]
+    return units + [("cell", tuple(range(i * 9, i * 9 + 9))) for i in range(81)]
 
 
 def reference_plan(board, mask):

@@ -56,6 +56,8 @@ class TestConfig:
         {"reset_at": float("nan")},
         {"reset_at": 2.5},
         {"reset_at": True},
+        {"reset_at": 0},
+        {"reset_at": -1},   # a negative reset shifts the whole cooling schedule
         {"seed": None},   # random.Random(None) would seed from the OS
         {"seed": 2.5},
         {"seed": True},
