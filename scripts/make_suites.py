@@ -16,7 +16,7 @@ from pathlib import Path
 
 from sudokulab.annealing import AnnealConfig, anneal
 from sudokulab.backtracking import enumerate_solutions
-from sudokulab.board import Board, render_board
+from sudokulab.board import CELL_UNITS, UNITS, Board, render_board
 from sudokulab.projections import solve_by_projection
 
 MASTER_SEED = 20240817
@@ -28,15 +28,11 @@ def random_solution(rng: random.Random) -> Board:
     def rec(pos: int) -> bool:
         if pos == 81:
             return True
-        r, c = divmod(pos, 9)
-        row = {grid[r * 9 + k] for k in range(9)}
-        col = {grid[k * 9 + c] for k in range(9)}
-        br, bc = 3 * (r // 3), 3 * (c // 3)
-        box = {grid[(br + x) * 9 + bc + y] for x in range(3) for y in range(3)}
+        seen = {grid[j] for u in CELL_UNITS[pos] for j in UNITS[u]}
         digits = list(range(1, 10))
         rng.shuffle(digits)
         for d in digits:
-            if d not in row and d not in col and d not in box:
+            if d not in seen:
                 grid[pos] = d
                 if rec(pos + 1):
                     return True

@@ -179,6 +179,9 @@ MUTANTS = (
     Mutant("search order: ties broken by descending index", "src/sudokulab/backtracking.py",
            "    entries.sort()", "    entries.sort(key=lambda e: (e[0], -e[1]))",
            ("tests/test_backtracking.py",)),
+    Mutant("bench: a repeated method runs twice", "src/sudokulab/bench.py",
+           "        if method in methods[:i]:", "        if False:",
+           ("tests/test_bench.py",)),
 )
 
 

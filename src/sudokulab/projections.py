@@ -83,7 +83,9 @@ def project_simplex(point) -> np.ndarray:
 
     A 2-d ``point`` is a stack of points, each row projected on its own.
     A ``-inf`` entry is absent from its point and comes out as 0.  Raises
-    ``ValueError`` for a NaN or +inf entry and for a point with no finite one.
+    ``ValueError`` for a NaN or +inf entry and for a point with no finite one;
+    numpy may first emit a RuntimeWarning ("invalid value" or "overflow
+    encountered in accumulate"), as for ``[inf, -inf]`` or ``[1e308, 1e308]``.
 
     Sort descending, keep the largest k with w_k > (sum of the top k - 1)/k,
     and clip at the resulting threshold.  O(d log d), exact up to round-off.

@@ -24,7 +24,7 @@ from sudokulab.board import (
     violation_cost,
 )
 
-from oracles import acceptance_probability, solve_all, weighted_pair
+from oracles import acceptance_probability, reference_peers, solve_all, weighted_pair
 
 _FULL = solve_all((0,) * 81, cap=1)[0]
 _FULL_MASK = (True,) * 81
@@ -233,12 +233,7 @@ class TestProposeSwap:
         for hot in range(81):
             if _FULL[hot] == 1:
                 continue
-            r, c = divmod(hot, 9)
-            involved = {
-                i for i in ones
-                if i // 9 == r or i % 9 == c
-                or (i // 27 == r // 3 and (i % 9) // 3 == c // 3)
-            }
+            involved = set(ones).intersection(reference_peers()[hot])
             if len(involved) == 3:
                 break
         else:
@@ -464,9 +459,9 @@ class TestAnneal:
 
 class TestDrawTable:
     def test_prefix_sums_match_full_rebuild(self, monkeypatch, medium_suite):
-        # the loop keeps its prefix-sum table up to date from the lowest
-        # re-weighed slot; at every draw it must equal, float for float and
-        # in length, the prefix sums of the current weights
+        # the loop rebuilds its whole prefix-sum table after each accepted
+        # swap; at every draw it must equal, float for float and in length,
+        # the prefix sums of the current weights
         live = []
         create = annealing.AnnealState.create
 

@@ -7,7 +7,7 @@ from sudokulab import backtracking
 from sudokulab.backtracking import enumerate_solutions, order_cells, solve
 from sudokulab.bench import load_suite
 from sudokulab.board import (
-    PuzzleError, candidates, cell_ref, clues_respected, is_solved, parse_puzzle, violation_cost,
+    PuzzleError, candidates, cell_ref, clues_respected, is_solved, violation_cost,
 )
 from sudokulab.datasets import suite_path
 

@@ -175,6 +175,14 @@ class TestRunBench:
         with pytest.raises(ValueError, match="'bogus'"):
             run_bench(_tiny(easy_suite), methods=("backtracking", "bogus"))
 
+    def test_repeated_method_rejected_up_front(self, easy_suite, monkeypatch):
+        def no_run(args):
+            raise AssertionError("a run started before the methods were checked")
+
+        monkeypatch.setattr("sudokulab.bench._run_job", no_run)
+        with pytest.raises(ValueError, match="'backtracking' named twice"):
+            run_bench(_tiny(easy_suite), methods=("backtracking", "projection", "backtracking"))
+
     def test_dead_worker_is_a_per_run_error(self, easy_suite, monkeypatch):
         # a solver that kills its worker process on easy #3 breaks the pool
         # of two; every run it took down with it gets one more try alone, so

@@ -236,6 +236,18 @@ class TestBench:
         assert code == 2
         assert "magic" in capsys.readouterr().err
 
+    def test_repeated_method_exits_2_before_any_run(self, monkeypatch, capsys):
+        def no_job(*args, **kwargs):
+            pytest.fail("a run started with a repeated method")
+
+        monkeypatch.setattr("sudokulab.bench._run_job", no_job)
+        code = run_cli(["bench", "--suite", str(suite_path("easy")),
+                        "--methods", "backtracking,backtracking"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: method 'backtracking' named twice\n"
+
     def test_empty_suite_exits_2(self, tmp_path, capsys):
         suite = tmp_path / "empty.txt"
         suite.write_text("# no puzzles\n")
@@ -379,7 +391,7 @@ _SOLVE_FLAGS = {"--max-iters": st.integers(1, 2000), "--max-sweeps": st.integers
                 "--seed": st.integers(1, 50), "--period": st.integers(1, 50),
                 "--t0": _FLOATS, "--cool": _FLOATS, "--tol": _FLOATS}
 _METHODS = ("backtracking", "projection", "backtracking,projection", " projection,",
-            "", ",", " , ,", "magic")
+            "", ",", " , ,", "magic", "backtracking,backtracking")
 
 
 @st.composite
