@@ -116,18 +116,19 @@ def run_bench(
     """One report per (puzzle, method), each with its method's default config;
     annealing is seeded with base_seed + puzzle index, whatever the run order.
     ``jobs`` is an int of at least 1; above 1 the runs go to a pool of at
-    most one worker per run.  A method named twice is rejected before any run.
+    most one worker per run.  A method named more than once is rejected
+    before any run.
     Every claimed solution is re-checked here; a board failing the check
     is demoted to unsolved rather than trusted."""
     if not suite.puzzles or not methods:
         raise ValueError("suite and methods must be nonempty")
     if type(jobs) is not int or jobs < 1:   # NaN or True would run serially, 2.5 fail in the pool
         raise ValueError(f"jobs must be an int of at least 1, got {jobs!r}")
-    for i, method in enumerate(methods):
+    for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
-        if method in methods[:i]:
-            raise ValueError(f"method {method!r} named twice")
+        if methods.count(method) > 1:
+            raise ValueError(f"method {method!r} named more than once")
     if "annealing" in methods:
         from .annealing import AnnealConfig
 

@@ -180,7 +180,7 @@ class TestRunBench:
             raise AssertionError("a run started before the methods were checked")
 
         monkeypatch.setattr("sudokulab.bench._run_job", no_run)
-        with pytest.raises(ValueError, match="'backtracking' named twice"):
+        with pytest.raises(ValueError, match="'backtracking' named more than once"):
             run_bench(_tiny(easy_suite), methods=("backtracking", "projection", "backtracking"))
 
     def test_dead_worker_is_a_per_run_error(self, easy_suite, monkeypatch):

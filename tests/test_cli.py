@@ -246,7 +246,7 @@ class TestBench:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: method 'backtracking' named twice\n"
+        assert captured.err == "error: method 'backtracking' named more than once\n"
 
     def test_empty_suite_exits_2(self, tmp_path, capsys):
         suite = tmp_path / "empty.txt"
